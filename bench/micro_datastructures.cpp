@@ -295,21 +295,20 @@ void BM_Fig17Slice(benchmark::State& state) {
 BENCHMARK(BM_Fig17Slice)->Unit(benchmark::kMillisecond);
 
 /// One busy link delivering bursts end to end, fused pipeline vs the legacy
-/// two-event serializer (Arg: 1 = fused, 0 = legacy).  Both run in canonical
-/// sharded mode so the only difference is the serializer itself; the fused
-/// path should win on events scheduled (one calendar entry per busy link
-/// instead of two per packet) and therefore on ns/packet (DESIGN.md §13).
+/// two-event serializer (Arg: 1 = fused, 0 = link pinned to legacy).  The
+/// only difference is the serializer itself; the fused path should win on
+/// events scheduled (one calendar entry per busy link instead of two per
+/// packet) and therefore on ns/packet (DESIGN.md §13).
 void BM_LinkPipelineHop(benchmark::State& state) {
   const bool fused = state.range(0) != 0;
   constexpr int kBursts = 64;
   constexpr int kPerBurst = 8;
   for (auto _ : state) {
     sim::Simulator sim;
-    sim.configure_shards(1, TimeNs::max(), sim::ShardExec::kSequential);
-    sim.set_fused_links(fused);
     NullNode sink;
     sim::Link link(sim, LinkId{0}, "l", &sink,
                    sim::LinkConfig{Bandwidth::gbps(10.0), 1_us, 1 << 20, -1, 0.95});
+    if (!fused) link.pin_legacy();
     auto& pool = sim.packet_pool();
     for (int b = 0; b < kBursts; ++b) {
       sim.at(TimeNs{1 + b * 15'000}, [&link, &pool] {

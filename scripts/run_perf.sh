@@ -15,12 +15,13 @@
 #   * profiler overhead — BM_Fig17Slice with UFAB_PROF=0 vs =1, guarded:
 #     the lane FAILS if enabling the profiler costs more than
 #     UFAB_PROF_GUARD_PCT percent (default 5);
-#   * fused link pipelines — the serial fig17 cell with UFAB_FUSED_LINKS=0
-#     (legacy two-event serializer) vs the fused default.  Both lanes verify
-#     the legacy stdout is byte-identical to the fused one and that fusing
-#     cut calendar events by >= UFAB_FUSED_EVENT_CUT_PCT percent (default
-#     40, machine-independent).  The full lane additionally FAILS if the
-#     fused cell is not UFAB_FUSED_SPEEDUP_FLOOR (default 1.25) times
+#   * fused link pipelines — the serial fig17 cell built as
+#     fig17_legacy_links (every link pinned to the legacy two-event
+#     serializer) vs the fused default.  Both lanes verify the legacy stdout
+#     is byte-identical to the fused one, serially and sharded, and that
+#     fusing cut calendar events by >= UFAB_FUSED_EVENT_CUT_PCT percent
+#     (default 40, machine-independent).  The full lane additionally FAILS if
+#     the fused cell is not UFAB_FUSED_SPEEDUP_FLOOR (default 1.25) times
 #     faster than legacy on the k=8 cell.
 #
 # The full lane additionally records a shard-scaling grid (UFAB_SHARDS=2/4/8
@@ -56,7 +57,8 @@ if [[ "${1:-}" == "--smoke" ]]; then SMOKE=1; fi
 
 BUILD_DIR="build-perf"
 cmake -B "${BUILD_DIR}" -S . -DCMAKE_BUILD_TYPE=Release -DUFAB_SANITIZE= >/dev/null
-cmake --build "${BUILD_DIR}" -j "$(nproc)" --target micro_datastructures fig17_large_scale
+cmake --build "${BUILD_DIR}" -j "$(nproc)" --target micro_datastructures fig17_large_scale \
+  fig17_legacy_links
 
 OUT="BENCH_engine.json"
 MICRO_JSON="$(mktemp)"
@@ -165,22 +167,22 @@ if ! cmp -s "${STDOUT_OFF}" "${STDOUT_ON}"; then
   exit 1
 fi
 
-# Fused-link escape hatch: UFAB_FUSED_LINKS=0 re-enables the legacy
+# Fused-link reference: fig17_legacy_links pins every link to the legacy
 # two-event serializer.  Its stdout must stay byte-identical to the fused
 # default, serially and sharded (DESIGN.md §13) — only the event count may
-# move, and it must shrink by the floor percentage.
-echo "[perf] fig17 cell k=${prof_k}: profiled serial, legacy links (UFAB_FUSED_LINKS=0) ..." >&2
-env "${cell[@]}" UFAB_SHARDS=1 UFAB_FUSED_LINKS=0 UFAB_PROF=1 \
+# move, and fusing must shrink it by the floor percentage.
+echo "[perf] fig17 cell k=${prof_k}: profiled serial, legacy links (fig17_legacy_links) ..." >&2
+env "${cell[@]}" UFAB_SHARDS=1 UFAB_PROF=1 \
   UFAB_METRICS_DIR=bench_artifacts/prof-serial-legacy-links \
-  "${BUILD_DIR}/bench/fig17_large_scale" >"${STDOUT_ON}"
+  "${BUILD_DIR}/bench/fig17_legacy_links" >"${STDOUT_ON}"
 if ! cmp -s "${STDOUT_OFF}" "${STDOUT_ON}"; then
   echo "[perf] FAIL: legacy-link stdout differs from fused:" >&2
   diff "${STDOUT_OFF}" "${STDOUT_ON}" >&2 || true
   exit 1
 fi
 echo "[perf] fig17 cell k=${prof_k}: legacy links sharded (UFAB_SHARDS=${shards_ab}) ..." >&2
-env "${cell[@]}" UFAB_SHARDS="${shards_ab}" UFAB_FUSED_LINKS=0 \
-  "${BUILD_DIR}/bench/fig17_large_scale" >"${STDOUT_ON}"
+env "${cell[@]}" UFAB_SHARDS="${shards_ab}" \
+  "${BUILD_DIR}/bench/fig17_legacy_links" >"${STDOUT_ON}"
 if ! cmp -s "${STDOUT_OFF}" "${STDOUT_ON}"; then
   echo "[perf] FAIL: sharded legacy-link stdout differs from serial fused:" >&2
   diff "${STDOUT_OFF}" "${STDOUT_ON}" >&2 || true
@@ -248,13 +250,16 @@ legacy_samples=""
 fusedoff_samples=""
 jobs1_samples=""
 jobsN_samples=""
-wall() {
-  local t0 t1
+# wall_of <bench> <env...>: wall-clock seconds of one run.
+wall_of() {
+  local bin="$1" t0 t1
+  shift
   t0=$(date +%s.%N)
-  env "$@" "${BUILD_DIR}/bench/fig17_large_scale" >/dev/null
+  env "$@" "${BUILD_DIR}/bench/${bin}" >/dev/null
   t1=$(date +%s.%N)
   awk -v a="$t0" -v b="$t1" 'BEGIN{printf "%.2f", b-a}'
 }
+wall() { wall_of fig17_large_scale "$@"; }
 ab_rounds=3
 if [[ "${SMOKE}" == "1" ]]; then ab_rounds=1; fi
 abcell=(UFAB_FIG17_K="${prof_k}" UFAB_FIG17_ONLY=uFAB,1,0.5 UFAB_JOBS=1 UFAB_OBS=0)
@@ -265,8 +270,8 @@ for ((i = 1; i <= ab_rounds; ++i)); do
   sharded_samples+="${sharded_samples:+,}$(wall "${abcell[@]}" UFAB_SHARDS="${shards_ab}")"
   echo "[perf] fig17 cell k=${prof_k}, round ${i}/${ab_rounds}: UFAB_SHARDS=${shards_ab} legacy epochs ..." >&2
   legacy_samples+="${legacy_samples:+,}$(wall "${abcell[@]}" UFAB_SHARDS="${shards_ab}" UFAB_ADAPTIVE_EPOCHS=0)"
-  echo "[perf] fig17 cell k=${prof_k}, round ${i}/${ab_rounds}: UFAB_SHARDS=1 UFAB_FUSED_LINKS=0 ..." >&2
-  fusedoff_samples+="${fusedoff_samples:+,}$(wall "${abcell[@]}" UFAB_SHARDS=1 UFAB_FUSED_LINKS=0)"
+  echo "[perf] fig17 cell k=${prof_k}, round ${i}/${ab_rounds}: UFAB_SHARDS=1 fig17_legacy_links ..." >&2
+  fusedoff_samples+="${fusedoff_samples:+,}$(wall_of fig17_legacy_links "${abcell[@]}" UFAB_SHARDS=1)"
 done
 
 # Fused speedup floor: gated on the full lane only (the k=4 smoke cell is
@@ -406,7 +411,7 @@ fused_a = json.loads(legacy_links_profile)
 fused_b = json.loads(serial_profile)
 fused = ab(fusedoff_s, serial_s)
 fused.update({
-    "a": "UFAB_FUSED_LINKS=0 (legacy two-event serializer)",
+    "a": "fig17_legacy_links (every link pinned to the legacy two-event serializer)",
     "b": "fused link pipelines (default)",
     "workload": f"fig17 k={prof_k} cell uFAB,1,0.5 (serial, UFAB_JOBS=1)",
     "a_profile": fused_a,
@@ -448,9 +453,9 @@ doc = {
              "figures (events, events_per_sec, ns_per_event); prof_overhead "
              "is the guarded BM_Fig17Slice cost of enabling the profiler.  "
              "fig17_fused_ab compares the fused link pipelines against the "
-             "UFAB_FUSED_LINKS=0 escape hatch: stdout byte-identical both "
-             "ways, events cut gated everywhere, wall-clock speedup gated "
-             "on the full lane.",
+             "fig17_legacy_links reference build (every link pinned to the "
+             "legacy serializer): stdout byte-identical both ways, events cut "
+             "gated everywhere, wall-clock speedup gated on the full lane.",
     "host": {
         "machine": platform.machine(),
         "cpus_online": int(cpus_online),

@@ -10,7 +10,7 @@ void SwiftCc::on_ack(TimeNs rtt, std::int32_t acked_bytes, TimeNs now) {
     // Weighted additive increase, spread across the ACKs of one window.
     const double ai_bytes = cfg_.additive_increase_mss * weight_ * cfg_.mss_bytes;
     cwnd_ += ai_bytes * static_cast<double>(acked_bytes) / std::max(cwnd_, 1.0);
-  } else if (now - last_decrease_ >= base_rtt_) {
+  } else if (!last_decrease_ || now - *last_decrease_ >= rtt) {
     const double over =
         static_cast<double>((rtt - target).ns()) / static_cast<double>(rtt.ns());
     const double factor = std::max(1.0 - cfg_.beta * over, 1.0 - cfg_.max_mdf);

@@ -4,13 +4,18 @@
 //
 // Per-ACK: if the measured delay is below target, additively grow the window
 // (one weighted MSS per RTT); above target, multiplicatively decrease
-// proportional to the overshoot, at most once per RTT.  Seawall-style
+// proportional to the overshoot, at most once per RTT — the measured RTT, as
+// in Swift's Algorithm 1.  (Gating on the base RTT instead lets a loaded flow
+// cut several times per round trip, and a flow with a dense ACK stream more
+// often than a sparse one, which squeezes weighted shares toward equal.)
+// Seawall-style
 // weighting scales the additive increment so steady-state throughput is
 // roughly proportional to the per-source weight — and is exactly why these
 // schemes converge in tens of milliseconds rather than sub-millisecond.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "src/core/time.hpp"
 
@@ -52,7 +57,7 @@ class SwiftCc {
   TimeNs base_rtt_;
   double weight_;
   double cwnd_;
-  TimeNs last_decrease_ = TimeNs::zero();
+  std::optional<TimeNs> last_decrease_;  ///< Unset until the first cut.
 };
 
 }  // namespace ufab::baselines

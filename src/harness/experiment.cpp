@@ -29,9 +29,10 @@ Experiment::Experiment(Scheme scheme, const TopoFn& topo_fn, topo::FabricOptions
   const topo::FabricOptions opts = fabric_options_for(scheme, base_opts, scheme_opts);
   fab_ = std::make_unique<Fabric>(
       [&](sim::Simulator& s) { return topo_fn(s, opts); }, seed);
-  // UFAB_SHARDS switches the engine into canonical sharded mode before any
-  // scheme or workload events exist; UFAB_SHARD_EXEC=seq|threads pins the
-  // execution strategy (equivalence testing), default auto.
+  // UFAB_SHARDS partitions the engine before any scheme or workload events
+  // exist (schedule-neutral: results match the unsharded run byte for byte);
+  // UFAB_SHARD_EXEC=seq|threads pins the execution strategy (equivalence
+  // testing), default auto.
   if (const char* v = std::getenv("UFAB_SHARDS"); v != nullptr && v[0] != '\0') {
     sim::ShardExec exec = sim::ShardExec::kAuto;
     if (const char* e = std::getenv("UFAB_SHARD_EXEC"); e != nullptr) {

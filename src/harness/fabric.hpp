@@ -34,11 +34,11 @@ class Fabric {
 
   ~Fabric();
 
-  /// Partitions the topology and switches the engine into canonical sharded
-  /// mode (see DESIGN.md §9).  Call right after construction, before any
-  /// scheme, source, or meter schedules events.  `shards` is clamped to what
-  /// the topology supports; `shards == 1` still enables canonical ordering so
-  /// serial and sharded runs are comparable byte-for-byte.
+  /// Partitions the topology across `shards` event loops (see DESIGN.md §9).
+  /// Call right after construction, before any scheme, source, or meter
+  /// schedules events.  `shards` is clamped to what the topology supports.
+  /// Schedule-neutral: an unconfigured fabric, 1 shard and N shards produce
+  /// byte-identical results; sharding only changes how many cores run them.
   void configure_sharding(int shards, sim::ShardExec exec = sim::ShardExec::kAuto);
 
   /// The shard a node / host was assigned to (0 when not sharded).

@@ -137,7 +137,7 @@ void Link::enqueue_fused(PacketPtr pkt) {
     pipe_.push_back(std::move(e));
     if (pipe_.size() == 1) {
       // Head of an idle pipe: arm the single resident calendar event.
-      sim_.at_keyed(deliver_at, id_f, 0, FusedLinkDeliver{this, epoch_});
+      sim_.at_keyed(deliver_at, id_f, 0, FusedLinkDeliver{this, pipe_epoch_});
     }
   }
   check_pipe_order();
@@ -180,7 +180,7 @@ void Link::advance() const {
 }
 
 void Link::fire_head(std::uint64_t epoch) {
-  if (epoch != epoch_) return;  // pipeline aborted by set_down
+  if (epoch != pipe_epoch_) return;  // head entry dropped or handed over
   advance();
   // The head's serialization milestone precedes its delivery by prop_delay
   // > 0, so by the time this event runs it must have been replayed.
@@ -195,10 +195,33 @@ void Link::fire_head(std::uint64_t epoch) {
     const PipeEntry& next = pipe_.front();
     sim_.at_keyed(next.ser_end + cfg_.prop_delay,
                   Simulator::event_identity(next.h, next.k), 0,
-                  FusedLinkDeliver{this, epoch_});
+                  FusedLinkDeliver{this, pipe_epoch_});
   }
   check_pipe_order();
   dst_->receive(std::move(head.pkt));
+}
+
+void Link::to_legacy() {
+  advance();
+  if (mat_ == pipe_.size()) return;  // nothing left to serialize
+  UFAB_CHECK_MSG(cross_shard_dst_ < 0,
+                 "fused cut link handed to the legacy serializer mid-run: its "
+                 "crossings were posted at commit time and cannot be recalled");
+  PipeEntry& head = pipe_[mat_];
+  in_flight_ = std::move(head.pkt);
+  busy_ = true;
+  {
+    // The serializer-end event belongs to the link's shard, whichever shard
+    // context (fault-plane setup runs at the root) hands it over.
+    const auto scope = sim_.scoped(home_);
+    sim_.at_keyed(head.ser_end, head.h, head.k,
+                  [this, bytes = head.bytes, epoch = epoch_] { finish_transmit(bytes, epoch); });
+  }
+  // queue_bytes_ already counts the entries behind the head.
+  for (std::size_t i = mat_ + 1; i < pipe_.size(); ++i) queue_.push_back(std::move(pipe_[i].pkt));
+  if (mat_ == 0) ++pipe_epoch_;  // the resident head event pointed at `head`
+  while (pipe_.size() > mat_) pipe_.pop_back();
+  check_pipe_order();
 }
 
 void Link::check_pipe_order() const {
@@ -243,7 +266,7 @@ void Link::set_down(bool down) {
       while (pipe_.size() > mat_) pipe_.pop_back();
       if (mat_ == 0) {
         // The resident head event pointed at a dropped entry; neutralize it.
-        ++epoch_;
+        ++pipe_epoch_;
       }
       check_pipe_order();
     }

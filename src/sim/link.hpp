@@ -12,12 +12,7 @@
 //
 // Two serializer implementations share that contract (DESIGN.md §13):
 //
-//  * Legacy two-event path: every packet hop schedules a serializer-end
-//    closure plus a DeliverEvent one propagation delay later.  Default-mode
-//    runs, pull-source (host NIC) links, links with wire-loss fault filters,
-//    and links pinned by the fault plane use it.
-//
-//  * Fused pipeline (canonical mode, push links): the link keeps an in-order
+//  * Fused pipeline (every push link by default): the link keeps an in-order
 //    FIFO of in-flight packets (`pipe_`) and the calendar holds only the
 //    *head* departure — one resident event per busy link instead of one per
 //    packet.  Serialization milestones become virtual: each pipe entry
@@ -27,6 +22,13 @@
 //    predicate says the legacy event would already have run.  Delivery
 //    events reuse the byte-identical legacy keys, so schedules, telemetry,
 //    and shard handoffs are indistinguishable from the two-event engine.
+//
+//  * Legacy two-event path: every packet hop schedules a serializer-end
+//    closure plus a DeliverEvent one propagation delay later.  Only links
+//    that need it use it — pull-source (host NIC) links, links with
+//    wire-loss fault filters, links pinned by the fault plane, and links
+//    with zero propagation delay — and it stays the reference the fused
+//    pipeline is tested against (pin_legacy()).
 #pragma once
 
 #include <cstdint>
@@ -95,9 +97,10 @@ class Link {
   /// serializing; returning true discards it instead of delivering (the
   /// packet still consumed link time, like corruption on the wire).  A
   /// filtered link uses the legacy serializer: the filter's RNG draws must
-  /// happen at wire-exit time in event order.
+  /// happen at wire-exit time in event order.  May be attached mid-run: the
+  /// link's fused traffic is handed over first (to_legacy()).
   void set_fault_filter(FaultFilter filter) {
-    UFAB_CHECK_MSG(pipe_.empty(), "set_fault_filter on a link with fused traffic");
+    to_legacy();
     fault_filter_ = std::move(filter);
   }
   [[nodiscard]] std::int64_t fault_drops() const { return fault_drops_; }
@@ -106,9 +109,11 @@ class Link {
   /// pins every link it will flap: a fused *cut* link posts its cross-shard
   /// crossing at commit time, which cannot be recalled by a later
   /// set_down — and the pin must be partition-invariant (the fault schedule
-  /// is), so event counts stay byte-identical across shard counts.
+  /// is), so event counts stay byte-identical across shard counts.  Tests
+  /// and benches pin links to compare the fused pipeline against this
+  /// reference.  May be called mid-run (to_legacy()).
   void pin_legacy() {
-    UFAB_CHECK_MSG(pipe_.empty(), "pin_legacy on a link with fused traffic");
+    to_legacy();
     pinned_legacy_ = true;
   }
   [[nodiscard]] bool pinned_legacy() const { return pinned_legacy_; }
@@ -178,8 +183,7 @@ class Link {
   };
 
   [[nodiscard]] bool use_fused() const {
-    return !pinned_legacy_ && !source_ && !fault_filter_ && cfg_.prop_delay.ns() > 0 &&
-           sim_.canonical_order() && sim_.fused_links();
+    return !pinned_legacy_ && !source_ && !fault_filter_ && cfg_.prop_delay.ns() > 0;
   }
 
   /// Tail-drop / ECN admission against the current queue_bytes_; shared by
@@ -192,6 +196,12 @@ class Link {
   /// idempotent; called before every read or commit of serializer state.
   void advance() const;
   void fire_head(std::uint64_t epoch);
+  /// Hands the fused pipeline's not-yet-serialized traffic to the legacy
+  /// serializer: the entry mid-serialization becomes in_flight_ with its
+  /// serializer-end event keyed as legacy would have keyed it, and the
+  /// entries behind it become queue_.  Entries already past serializer end
+  /// stay in the pipe and drain through the resident head event.
+  void to_legacy();
   void check_pipe_order() const;  ///< Debug-only FIFO invariant sweep.
 
   void start_next();
@@ -218,9 +228,13 @@ class Link {
   bool pinned_legacy_ = false;
   PacketPtr in_flight_;  // the packet currently being serialized (legacy path)
   /// Bumped when an in-flight serialization is aborted (set_down); the
-  /// completion event — legacy serializer-end or fused head departure —
-  /// compares its captured epoch and becomes a no-op.
+  /// legacy serializer-end event compares its captured epoch and becomes a
+  /// no-op.
   std::uint64_t epoch_ = 0;
+  /// The fused head event's epoch, bumped when the entry it points at is
+  /// dropped or handed to the legacy serializer.  Separate from epoch_: a
+  /// legacy abort must not strand packets still propagating in the pipe.
+  std::uint64_t pipe_epoch_ = 0;
   /// The shard whose execution frontier decides which virtual milestones
   /// have fired; captured at the first fused commit.
   Simulator::ShardHandle home_ = nullptr;

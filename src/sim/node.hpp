@@ -47,7 +47,8 @@ class Link;
 /// itself for the next in-flight packet (src/sim/link.cpp).  The packet stays
 /// owned by the link's pipe — not by this event — so an abort (set_down)
 /// destroys dropped packets at legacy-identical times; `epoch` neutralizes a
-/// stale head event after such an abort, exactly like the legacy serializer.
+/// stale head event after such an abort, or after the head is handed to the
+/// legacy serializer (Link::to_legacy).
 /// Lives here so the engine profiler can classify it as a delivery dispatch.
 struct FusedLinkDeliver {
   Link* link;

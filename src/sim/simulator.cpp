@@ -89,14 +89,13 @@ Simulator::~Simulator() {
 
 void Simulator::configure_shards(int shards, TimeNs lookahead, ShardExec exec) {
   UFAB_CHECK_MSG(!exec_started_, "configure_shards after a run started");
-  UFAB_CHECK_MSG(!canonical_, "configure_shards called twice");
+  UFAB_CHECK_MSG(clocks_.empty(), "configure_shards called twice");
   const Shard& s0 = *shards_.front();
-  UFAB_CHECK_MSG(shards_.size() == 1 && s0.processed == 0 && s0.next_seq == 0 &&
-                     s0.ring_size == 0 && s0.overflow.heap.empty() && root_k_ == 0,
+  UFAB_CHECK_MSG(s0.processed == 0 && s0.ring_size == 0 && s0.overflow.heap.empty() &&
+                     root_k_ == 0,
                  "configure_shards must precede all scheduling");
   UFAB_CHECK(shards >= 1 && shards <= kMaxShards);
   UFAB_CHECK(lookahead.ns() > 0);
-  canonical_ = true;
   lookahead_ = lookahead;
   exec_request_ = exec;
   for (int i = 1; i < shards; ++i) shards_.push_back(std::make_unique<Shard>(i));
@@ -360,18 +359,7 @@ void Simulator::pop_and_run_profiled(Shard& s, obs::ProfSlice& sl) {
   sl.bump(obs::ProfCat::kQueuePop);
   sl.bump(dispatch_cat);
   const std::int64_t t1 = timed ? obs::ProfClock::now() : 0;
-  if (canonical_) {
-    s.cur_id = event_identity(ev.h, ev.k);
-    s.cur_k = 0;
-    s.cur_raw_h = ev.h;
-    s.cur_raw_k = ev.k;
-    s.now_inclusive = false;
-    s.in_event = true;
-    ev.fn();
-    s.in_event = false;
-  } else {
-    ev.fn();
-  }
+  fire(s, ev);
   if (timed) {
     const std::int64_t t2 = obs::ProfClock::now();
     sl.add_sampled(obs::ProfCat::kQueuePop, t1 - t0);

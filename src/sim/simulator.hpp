@@ -14,28 +14,18 @@
 // without touching the events themselves, and a closure is moved exactly once
 // in (into its slot) and once out (when it fires).
 //
-// Ordering comes in two modes, distinguished only by how (h, k) is stamped —
-// the comparator and the queues are identical:
-//
-//  * Default (single shard, no configure_shards): h is a global scheduling
-//    sequence number and k is 0, so the pop order is exactly the (time, seq)
-//    total order of the old priority_queue — FIFO tie-break included — and
-//    results are byte-identical to the pre-sharding engine (proven by
-//    tests/sim/calendar_queue_test.cpp).
-//
-//  * Canonical (configure_shards was called, any shard count >= 1): h is a
-//    mixed 64-bit identity of the *scheduling parent* (the event whose
-//    closure called at()/after(), or a fixed root id for setup code) and k
-//    counts that parent's children in order.  The key no longer depends on
-//    global scheduling interleavings — only on the causal tree, which is the
-//    same no matter how events are distributed across shards — so a 4-shard
-//    run fires events in exactly the order a 1-shard canonical run does.
-//    Within one parent, ties keep FIFO order (k increments); across parents
-//    at the same instant, the mixed identity is the arbiter.  (A 64-bit hash
-//    collision between two distinct parents scheduling at the same
-//    nanosecond would fall through to the slot index; at fig17 scale the
-//    probability is ~1e-10 per run and any such run would still be
-//    deterministic, just not provably shard-count-invariant.)
+// Ordering is canonical and causal: h is a mixed 64-bit identity of the
+// *scheduling parent* (the event whose closure called at()/after(), or a
+// fixed root id for setup code) and k counts that parent's children in
+// order.  The key does not depend on global scheduling interleavings — only
+// on the causal tree, which is the same no matter how events are distributed
+// across shards — so a 4-shard run fires events in exactly the order a serial
+// run does.  Within one parent, ties keep FIFO order (k increments); across
+// parents at the same instant, the mixed identity is the arbiter.  (A 64-bit
+// hash collision between two distinct parents scheduling at the same
+// nanosecond would fall through to the slot index; at fig17 scale the
+// probability is ~1e-10 per run and any such run would still be
+// deterministic, just not provably shard-count-invariant.)
 //
 // Sharded execution (configure_shards(n > 1)) is conservative parallel DES:
 // shards advance through lookahead windows (the min propagation delay over
@@ -60,7 +50,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -89,12 +78,7 @@ enum class ShardExec : std::uint8_t {
 
 class Simulator {
  public:
-  Simulator() {
-    shards_.push_back(std::make_unique<Shard>(0));
-    if (const char* v = std::getenv("UFAB_FUSED_LINKS"); v != nullptr && v[0] == '0') {
-      fused_links_ = false;
-    }
-  }
+  Simulator() { shards_.push_back(std::make_unique<Shard>(0)); }
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -107,21 +91,8 @@ class Simulator {
   void at(TimeNs t, UniqueFunction fn) {
     Shard& s = active();
     UFAB_CHECK_MSG(t >= s.now, "scheduling into the past");
-    std::uint64_t h;
-    std::uint32_t k;
-    if (!canonical_) {
-      h = s.next_seq++;
-      k = 0;
-    } else if (s.in_event) {
-      h = s.cur_id;
-      k = s.cur_k++;
-    } else {
-      // Setup/root context: all shards share one root identity and one FIFO
-      // counter, so setup code keeps registration order across shards.
-      h = kRootIdentity;
-      k = root_k_++;
-    }
-    push(s, t, h, k, std::move(fn));
+    const ChildKey key = next_key(s);
+    push(s, t, key.h, key.k, std::move(fn));
   }
 
   /// Schedules `fn` after `delay` from now.
@@ -182,16 +153,15 @@ class Simulator {
 
   // --- sharding ---
 
-  /// Switches the engine to canonical ordering with `shards` event loops
-  /// synchronized in epochs of `lookahead` (the min prop delay over
-  /// cut links; TimeNs::max() when no link is cut).  Must be called before
-  /// any event is scheduled.  `shards == 1` still switches ordering to
-  /// canonical mode — that is how a 1-shard run produces the same schedule
-  /// as a 4-shard run of the same experiment.
+  /// Splits the engine into `shards` event loops synchronized in epochs of
+  /// `lookahead` (the min prop delay over cut links; TimeNs::max() when no
+  /// link is cut).  Must be called once, before any event is scheduled.  The
+  /// schedule does not depend on the shard count: an unconfigured engine, a
+  /// 1-shard and a 4-shard run of the same experiment fire the same events in
+  /// the same order.
   void configure_shards(int shards, TimeNs lookahead, ShardExec exec = ShardExec::kAuto);
 
   [[nodiscard]] int shard_count() const { return static_cast<int>(shards_.size()); }
-  [[nodiscard]] bool canonical_order() const { return canonical_; }
   [[nodiscard]] TimeNs lookahead() const { return lookahead_; }
 
   /// Adaptive epoch synchronization (DESIGN.md §12).  On: one coordinator
@@ -277,12 +247,11 @@ class Simulator {
   /// independent of the partition.  The packet itself is handed over —
   /// ownership transfers to the destination shard; its storage stays with
   /// the origin pool and returns there through the return mailboxes when the
-  /// destination releases it.  Only valid in canonical mode from inside a
-  /// running event.
+  /// destination releases it.  Only valid from inside a running event.
   void post_cross(int dst_shard, TimeNs at, Node* dst, PacketPtr pkt) {
     UFAB_PROF_SCOPE(obs::ProfCat::kMailboxPost);
     Shard& s = active();
-    UFAB_CHECK(canonical_ && s.in_event);
+    UFAB_CHECK(s.in_event);
     UFAB_CHECK(dst_shard >= 0 && dst_shard < shard_count() && dst_shard != s.index);
     ++s.crossings_posted;
     cross_ch(s.index, dst_shard)
@@ -301,21 +270,16 @@ class Simulator {
   /// context would have stamped — without scheduling anything.  The fused
   /// link pipeline reserves the slot the legacy serializer-end event would
   /// have occupied, so every descendant keeps its byte-identical key even
-  /// though the event itself never enters the calendar.  Canonical mode only.
-  [[nodiscard]] ChildKey alloc_child_key() {
-    UFAB_CHECK(canonical_);
-    Shard& s = active();
-    if (s.in_event) return ChildKey{s.cur_id, s.cur_k++};
-    return ChildKey{kRootIdentity, root_k_++};
-  }
+  /// though the event itself never enters the calendar.
+  [[nodiscard]] ChildKey alloc_child_key() { return next_key(active()); }
 
   /// Schedules `fn` at `t` under an explicit raw key instead of one stamped
-  /// from the current context (canonical mode only).  The fused pipeline
-  /// reproduces legacy delivery keys through this: the head departure is
-  /// scheduled with exactly the (h, k) the two-event chain would have used.
+  /// from the current context.  The fused pipeline reproduces legacy keys
+  /// through this: the head departure is scheduled with exactly the (h, k)
+  /// the two-event chain would have used, and so is the serializer-end event
+  /// of a packet handed back to the legacy serializer mid-flight.
   void at_keyed(TimeNs t, std::uint64_t h, std::uint32_t k, UniqueFunction fn) {
     Shard& s = active();
-    UFAB_CHECK(canonical_);
     UFAB_CHECK_MSG(t >= s.now, "scheduling into the past");
     push(s, t, h, k, std::move(fn));
   }
@@ -334,7 +298,6 @@ class Simulator {
                         std::uint64_t h, std::uint32_t k) {
     UFAB_PROF_SCOPE(obs::ProfCat::kMailboxPost);
     Shard& s = active();
-    UFAB_CHECK(canonical_);
     UFAB_CHECK_MSG(s.in_event, "eager crossing posted outside an event");
     UFAB_CHECK(dst_shard >= 0 && dst_shard < shard_count() && dst_shard != s.index);
     ++s.crossings_posted;
@@ -344,9 +307,13 @@ class Simulator {
   /// Opaque handle to the shard the calling context schedules onto.  The
   /// fused pipeline captures it at first commit so later queries — possibly
   /// made from another shard's context under sequential execution (soak's
-  /// queue sampler) — evaluate firedness against the link's own shard.
+  /// queue sampler) — evaluate firedness against the link's own shard, and
+  /// a mid-run hand-over to the legacy serializer schedules onto it.
   using ShardHandle = const void*;
   [[nodiscard]] ShardHandle active_shard_handle() const { return &active(); }
+  [[nodiscard]] ShardScope scoped(ShardHandle handle) {
+    return ShardScope(this, static_cast<const Shard*>(handle)->index);
+  }
 
   /// Whether the legacy engine would already have run an event keyed
   /// (t, h, k) on `handle`'s shard.  Monotone (once fired, always fired):
@@ -363,16 +330,6 @@ class Simulator {
     if (t > s.now) return false;
     if (s.in_event) return h < s.cur_raw_h || (h == s.cur_raw_h && k < s.cur_raw_k);
     return s.now_inclusive;
-  }
-
-  /// Fused link pipelines (one resident calendar event per busy link instead
-  /// of two events per packet hop).  Default on; UFAB_FUSED_LINKS=0 is the
-  /// escape hatch / A-B baseline.  Links consult this at commit time, so it
-  /// must not change once packets are in flight.
-  [[nodiscard]] bool fused_links() const { return fused_links_; }
-  void set_fused_links(bool on) {
-    UFAB_CHECK_MSG(events_processed() == 0, "set_fused_links after events ran");
-    fused_links_ = on;
   }
 
   // --- per-shard introspection (obs gauges, tests; read between runs) ---
@@ -437,9 +394,12 @@ class Simulator {
   /// the shard x scope time matrix.  Empty string when profiling is off.
   [[nodiscard]] std::string profile_json() const;
 
+  /// Identity of the implicit root event (setup code outside any event).
+  static constexpr std::uint64_t kRootIdentity = 0x52EEDF00DDEADB01ull;
+
   /// The canonical identity an event gets from parent identity `h` and child
-  /// index `k` (splitmix64-style finalizer).  Exposed so tests can mirror
-  /// the engine's tie-break order in a reference queue.
+  /// index `k` (splitmix64-style finalizer).  Exposed, with kRootIdentity, so
+  /// tests can mirror the engine's tie-break order in a reference queue.
   [[nodiscard]] static std::uint64_t event_identity(std::uint64_t h, std::uint32_t k) {
     std::uint64_t x = h + 0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(k) + 1);
     x ^= x >> 30;
@@ -508,8 +468,6 @@ class Simulator {
   static constexpr int kBucketShift = 9;  ///< 512 ns per bucket.
   static constexpr std::uint64_t kNumBuckets = 1024;  ///< ~0.5 ms near horizon.
   static constexpr int kMaxShards = 64;
-  /// Identity of the implicit root event (setup code outside any event).
-  static constexpr std::uint64_t kRootIdentity = 0x52EEDF00DDEADB01ull;
 
   /// One event loop: its own clock, calendar, packet pool, and outbox.  The
   /// pool is declared first so the event tiers (whose pending closures own
@@ -520,7 +478,6 @@ class Simulator {
     int index;
     PacketPool pool;
     TimeNs now = TimeNs::zero();
-    std::uint64_t next_seq = 0;  ///< Default-mode FIFO sequence.
     std::uint64_t processed = 0;
     std::vector<Bucket> ring;
     std::size_t ring_size = 0;
@@ -528,7 +485,7 @@ class Simulator {
     bool peeked_overflow = false;  ///< Tier of the last peek() result.
     Bucket overflow;
 
-    // Canonical-mode scheduling context (the currently executing event).
+    // Scheduling context (the currently executing event).
     std::uint64_t cur_id = 0;
     std::uint32_t cur_k = 0;
     bool in_event = false;
@@ -704,18 +661,29 @@ class Simulator {
     if (!s.peeked_overflow) --s.ring_size;
     s.now = ev.at;
     ++s.processed;
-    if (canonical_) {
-      s.cur_id = event_identity(ev.h, ev.k);
-      s.cur_k = 0;
-      s.cur_raw_h = ev.h;
-      s.cur_raw_k = ev.k;
-      s.now_inclusive = false;  // same-instant events may still be pending
-      s.in_event = true;
-      ev.fn();
-      s.in_event = false;
-    } else {
-      ev.fn();
-    }
+    fire(s, ev);
+  }
+
+  /// Runs a popped event as the shard's scheduling context, so everything it
+  /// schedules is keyed as its child.
+  static void fire(Shard& s, Event& ev) {
+    s.cur_id = event_identity(ev.h, ev.k);
+    s.cur_k = 0;
+    s.cur_raw_h = ev.h;
+    s.cur_raw_k = ev.k;
+    s.now_inclusive = false;  // same-instant events may still be pending
+    s.in_event = true;
+    ev.fn();
+    s.in_event = false;
+  }
+
+  /// The key the next at()/after() on `s` stamps: the executing event's next
+  /// child, or — in setup/root context — the next root child.  All shards
+  /// share one root identity and one FIFO counter, so setup code keeps
+  /// registration order across shards.
+  ChildKey next_key(Shard& s) {
+    if (s.in_event) return ChildKey{s.cur_id, s.cur_k++};
+    return ChildKey{kRootIdentity, root_k_++};
   }
 
   /// The shard this thread's scheduling calls resolve to: the scoped/worker
@@ -781,11 +749,9 @@ class Simulator {
   std::vector<std::unique_ptr<ShardMailbox<Packet*>>> ret_ch_;
   /// Per-shard published clocks for intra-epoch window synchronization.
   std::vector<std::unique_ptr<ShardClockSlot>> clocks_;
-  bool canonical_ = false;
   TimeNs lookahead_ = TimeNs::max();
   std::uint32_t root_k_ = 0;  ///< FIFO counter for root-context scheduling.
 
-  bool fused_links_ = true;  ///< Fused link pipelines (UFAB_FUSED_LINKS=0 off).
   bool adaptive_ = true;    ///< Multi-window epochs + solo barrier skipping.
   int epoch_windows_ = 16;  ///< Lookahead windows per coordinator barrier.
   std::vector<TimeNs> shard_out_la_;  ///< Per-shard outgoing cut lookahead.

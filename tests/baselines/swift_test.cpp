@@ -58,6 +58,26 @@ TEST(Swift, DecreaseAtMostOncePerRtt) {
   EXPECT_DOUBLE_EQ(cc.cwnd_bytes(), after_first);
 }
 
+TEST(Swift, DecreaseGatedByMeasuredRttNotBaseRtt) {
+  // Under queueing the measured RTT spans several base RTTs.  A second cut
+  // must wait one measured RTT: gating on the 24 us base RTT would cut on
+  // every one of these samples, punishing whichever flow ACKs most densely.
+  SwiftConfig c = cfg();
+  c.initial_cwnd_mss = 20.0;
+  SwiftCc cc(c, 24_us, 1.0);
+  const TimeNs t0 = 5_us;  // the first cut need not wait an RTT after start
+  const double before = cc.cwnd_bytes();
+  cc.on_ack(100_us, 1500, t0);
+  const double after_first = cc.cwnd_bytes();
+  EXPECT_LT(after_first, before);
+  cc.on_ack(100_us, 1500, t0 + 30_us);
+  cc.on_ack(100_us, 1500, t0 + 60_us);
+  cc.on_ack(100_us, 1500, t0 + 99_us);
+  EXPECT_DOUBLE_EQ(cc.cwnd_bytes(), after_first);
+  cc.on_ack(100_us, 1500, t0 + 100_us);
+  EXPECT_LT(cc.cwnd_bytes(), after_first);
+}
+
 TEST(Swift, MaxDecreaseFactorRespected) {
   SwiftCc cc(cfg(), 24_us, 1.0);
   TimeNs now = 1_us;

@@ -1,13 +1,10 @@
 // Fused link pipelines under fault injection (DESIGN.md §13): a flap schedule
 // must produce identical recovery behaviour whether the engine runs the fused
-// or the legacy serializer, on any partition.  The fault plane pins flapped
-// links back to the legacy path on every partition (a fused cut link's
-// eagerly posted crossings could not be recalled by set_down), so the pin
-// itself must be schedule-neutral.
-#include <cstdlib>
-#include <optional>
-#include <string>
-
+// or the legacy serializer, on any partition.  The legacy reference pins
+// every link to the two-event serializer before traffic.  The fault plane
+// pins flapped links back to the legacy path on every partition (a fused cut
+// link's eagerly posted crossings could not be recalled by set_down), so the
+// pin itself must be schedule-neutral.
 #include <gtest/gtest.h>
 
 #include "tests/faults/fault_world.hpp"
@@ -17,32 +14,6 @@ namespace {
 
 using namespace ufab::time_literals;
 using namespace ufab::unit_literals;
-
-/// Scoped setenv, restored on destruction.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 struct FlapOutcome {
   std::int64_t link_downs = 0;
@@ -55,13 +26,15 @@ struct FlapOutcome {
 };
 
 /// A backlogged pair across a leaf-spine whose ToR uplink flaps repeatedly
-/// mid-stream; shards > 0 switches the engine into canonical sharded mode
-/// (which is what makes the fused path eligible at all), and at 2 shards the
-/// flapped uplink is a cut link — the case the fault plane's pin protects.
+/// mid-stream; `fused == false` pins every link to the legacy serializer,
+/// and at 2 shards the flapped uplink is a cut link — the case the fault
+/// plane's pin protects.
 FlapOutcome run_flap_scenario(bool fused, int shards) {
-  EnvGuard g("UFAB_FUSED_LINKS", fused ? nullptr : "0");
   FaultWorld w([](sim::Simulator& s) { return topo::make_leaf_spine(s, 2, 2, 2); }, {},
                fault_test_core_config(), 7, 42, shards);
+  if (!fused) {
+    for (sim::Link* l : w.fab.net().links()) l->pin_legacy();
+  }
   const TenantId t = w.fab.vms().add_tenant("A", 2_Gbps);
   const VmPairId pair{w.fab.vms().add_vm(t, HostId{0}), w.fab.vms().add_vm(t, HostId{2})};
   w.fab.keep_backlogged(pair, 0_ms, 30_ms);

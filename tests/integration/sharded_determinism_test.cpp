@@ -61,7 +61,9 @@ class EnvGuard {
   std::optional<std::string> saved_;
 };
 
-Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed) {
+/// `legacy_links` pins every link to the legacy two-event serializer before
+/// any traffic — the reference the fused pipelines must match.
+Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool legacy_links = false) {
   Experiment exp(
       scheme,
       [](sim::Simulator& s, const topo::FabricOptions& o) {
@@ -69,6 +71,9 @@ Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed) {
       },
       {}, {}, seed);
   auto& fab = exp.fab();
+  if (legacy_links) {
+    for (sim::Link* l : fab.net().links()) l->pin_legacy();
+  }
   auto& vms = fab.vms();
 
   std::vector<VmPairId> pairs;
@@ -104,22 +109,25 @@ Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed) {
 
 Snapshot run_with_shards(const char* shards, const char* exec, Scheme scheme,
                          std::uint64_t seed, const char* adaptive = nullptr,
-                         const char* windows = nullptr) {
+                         const char* windows = nullptr, bool legacy_links = false) {
   EnvGuard g1("UFAB_SHARDS", shards);
   EnvGuard g2("UFAB_SHARD_EXEC", exec);
   EnvGuard g3("UFAB_ADAPTIVE_EPOCHS", adaptive);
   EnvGuard g4("UFAB_EPOCH_WINDOWS", windows);
-  return run_tiny_fig17(scheme, seed);
+  return run_tiny_fig17(scheme, seed, legacy_links);
 }
 
 TEST(ShardedDeterminism, OneTwoFourEightShardsAreBitIdentical) {
   const Snapshot one = run_with_shards("1", nullptr, Scheme::kUfab, 41);
   ASSERT_FALSE(one.fct_us.empty()) << "workload produced no completed flows";
   EXPECT_GT(one.events, 0u);
+  // No UFAB_SHARDS at all: the unsharded default fires the same schedule.
+  const Snapshot unsharded = run_with_shards(nullptr, nullptr, Scheme::kUfab, 41);
   const Snapshot two = run_with_shards("2", nullptr, Scheme::kUfab, 41);
   const Snapshot four = run_with_shards("4", nullptr, Scheme::kUfab, 41);
   // k=4 has eight edge subtrees, so 8 shards cuts below the agg tier.
   const Snapshot eight = run_with_shards("8", nullptr, Scheme::kUfab, 41);
+  EXPECT_EQ(one, unsharded);
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, four);
   EXPECT_EQ(one, eight);
@@ -145,15 +153,14 @@ TEST(ShardedDeterminism, AdaptiveEpochsAreScheduleNeutral) {
 }
 
 TEST(ShardedDeterminism, FusedLinksMatchLegacySerializerBitForBit) {
-  // UFAB_FUSED_LINKS=0 is the escape hatch back to the two-event serializer;
-  // with it on (the default) every observable statistic must survive byte
-  // for byte — only the event count may change, and it must shrink.
-  auto run_fused = [](const char* shards, const char* exec, const char* fused) {
-    EnvGuard g("UFAB_FUSED_LINKS", fused);
-    return run_with_shards(shards, exec, Scheme::kUfab, 41);
+  // Every link pinned to the two-event serializer is the reference; with the
+  // fused pipelines (the default) every observable statistic must survive
+  // byte for byte — only the event count may change, and it must shrink.
+  auto run_fused = [](const char* shards, const char* exec, bool legacy_links) {
+    return run_with_shards(shards, exec, Scheme::kUfab, 41, nullptr, nullptr, legacy_links);
   };
-  const Snapshot legacy = run_fused("1", nullptr, "0");
-  const Snapshot fused = run_fused("1", nullptr, nullptr);
+  const Snapshot legacy = run_fused("1", nullptr, true);
+  const Snapshot fused = run_fused("1", nullptr, false);
   ASSERT_FALSE(fused.fct_us.empty());
   EXPECT_EQ(fused.pair_rates_gbps, legacy.pair_rates_gbps);
   EXPECT_EQ(fused.fct_us, legacy.fct_us);
@@ -162,10 +169,10 @@ TEST(ShardedDeterminism, FusedLinksMatchLegacySerializerBitForBit) {
   EXPECT_LT(fused.events, legacy.events);  // the point of fusing
 
   // The fused schedule is itself partition- and executor-invariant...
-  EXPECT_EQ(fused, run_fused("4", "seq", nullptr));
-  EXPECT_EQ(fused, run_fused("4", "threads", nullptr));
-  // ...and so is the escape hatch.
-  EXPECT_EQ(legacy, run_fused("4", "threads", "0"));
+  EXPECT_EQ(fused, run_fused("4", "seq", false));
+  EXPECT_EQ(fused, run_fused("4", "threads", false));
+  // ...and so is the legacy reference.
+  EXPECT_EQ(legacy, run_fused("4", "threads", true));
 }
 
 TEST(ShardedDeterminism, HoldsAcrossSchemesAndSeeds) {

@@ -1,8 +1,9 @@
 // Fused link pipelines (DESIGN.md §13): one resident calendar event per busy
 // link, with delivery times, drop accounting, telemetry, and flap semantics
-// byte-identical to the legacy two-event serializer.  Canonical ordering
-// (configure_shards) is what makes the fused path eligible; the same
-// scenarios are replayed against the legacy serializer to pin equivalence.
+// byte-identical to the legacy two-event serializer.  Every push link fuses
+// by default; the same scenarios are replayed on links pinned to the legacy
+// serializer (pin_legacy) to pin equivalence, including pins and fault
+// filters attached mid-stream, which hand live fused traffic over.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,13 +37,12 @@ PacketPtr make_data(std::int32_t bytes) {
                       HostId{1}, bytes);
 }
 
-/// A canonical-order serial simulator with fused pipelines on or off.
+/// A serial simulator with one link, fused or pinned to the legacy serializer.
 struct World {
   explicit World(bool fused, TimeNs prop = 1_us) : sink(sim) {
-    sim.configure_shards(1, TimeNs::max());
-    sim.set_fused_links(fused);
     link = std::make_unique<Link>(sim, LinkId{0}, "l", &sink,
                                   LinkConfig{10_Gbps, prop, 1'000'000, -1, 0.95});
+    if (!fused) link->pin_legacy();
   }
   Simulator sim;
   SinkNode sink;
@@ -126,6 +126,7 @@ TEST(FusedLink, TailDropAndEcnMatchLegacy) {
     World w(fused);
     w.link = std::make_unique<Link>(w.sim, LinkId{0}, "l", &w.sink,
                                     LinkConfig{10_Gbps, 1_us, 3000, -1, 0.95});
+    if (!fused) w.link->pin_legacy();
     for (int i = 0; i < 5; ++i) w.link->enqueue(make_data(1500));
     w.sim.run();
     ASSERT_EQ(w.sink.arrivals.size(), 3u) << "fused=" << fused;
@@ -137,6 +138,7 @@ TEST(FusedLink, TailDropAndEcnMatchLegacy) {
   World marked(true);
   legacy.link = std::make_unique<Link>(legacy.sim, LinkId{0}, "l", &legacy.sink,
                                        LinkConfig{10_Gbps, 1_us, 1'000'000, 2000, 0.95});
+  legacy.link->pin_legacy();
   marked.link = std::make_unique<Link>(marked.sim, LinkId{0}, "l", &marked.sink,
                                        LinkConfig{10_Gbps, 1_us, 1'000'000, 2000, 0.95});
   for (int i = 0; i < 4; ++i) {
@@ -241,16 +243,112 @@ TEST(FusedLink, LegacyOnlyModesStayOnLegacyPath) {
   EXPECT_EQ(filtered.link->pipe_depth(), 0u);
 }
 
-TEST(FusedLink, DefaultOrderModeStaysOnLegacyPath) {
-  // Without configure_shards there is no canonical key space to reproduce,
-  // so the fused path must not engage even when enabled.
-  Simulator sim;
-  SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, LinkConfig{10_Gbps, 1_us, 1'000'000, -1, 0.95});
-  link.enqueue(make_data(1500));
-  EXPECT_EQ(link.pipe_depth(), 0u);
-  sim.run();
-  EXPECT_EQ(sink.arrivals.size(), 1u);
+/// Observables of one link run, compared field by field.
+struct LinkOutcome {
+  std::vector<std::pair<TimeNs, std::int32_t>> arrivals;  ///< (time, bytes)
+  std::int64_t drops = 0;
+  std::int64_t fault_drops = 0;
+  std::int64_t tx_bytes_cum = 0;
+  std::int64_t max_queue_bytes = 0;
+
+  bool operator==(const LinkOutcome&) const = default;
+};
+
+/// A burst against a short queue (tail drops on both sides of `mid`), with
+/// `attach` run on the link either before any traffic or at `mid`.  A long
+/// propagation delay keeps packets on the wire at `mid`, so a mid-stream
+/// attach meets every kind of pipe entry: propagating, serializing, queued.
+template <typename Attach>
+LinkOutcome run_with_attach(TimeNs mid, bool attach_mid_stream, const Attach& attach) {
+  World w(true, 5_us);
+  w.link = std::make_unique<Link>(w.sim, LinkId{0}, "l", &w.sink,
+                                  LinkConfig{10_Gbps, 5_us, 6000, -1, 0.95});
+  if (!attach_mid_stream) attach(w);
+  for (const std::int32_t bytes : {1500, 1500, 64, 1500, 1500, 1500, 1500}) {
+    w.link->enqueue(make_data(bytes));
+  }
+  w.sim.run_until(mid);
+  if (attach_mid_stream) attach(w);
+  for (const std::int32_t bytes : {1500, 300, 1500, 1500, 9000}) {
+    w.link->enqueue(make_data(bytes));
+  }
+  w.sim.run();
+  LinkOutcome out;
+  for (const auto& [at, pkt] : w.sink.arrivals) out.arrivals.push_back({at, pkt->size_bytes});
+  out.drops = w.link->drops();
+  out.fault_drops = w.link->fault_drops();
+  out.tx_bytes_cum = w.link->tx_bytes_cum();
+  out.max_queue_bytes = w.link->max_queue_bytes();
+  EXPECT_EQ(w.link->pipe_depth(), 0u);
+  return out;
+}
+
+// The admitted burst finishes serializing at 1.2, 2.4, ~2.45, ~3.65 and
+// ~4.85 us: the midpoints fall before the first serializer end, exactly on
+// one, mid-serialization, and after the burst has fully serialized (packets
+// still propagating).
+constexpr std::int64_t kMidpoints[] = {600, 1200, 2000, 2400, 3000, 8000};
+
+TEST(FusedLink, MidStreamPinMatchesPinBeforeTraffic) {
+  const auto pin = [](World& w) { w.link->pin_legacy(); };
+  for (const std::int64_t mid : kMidpoints) {
+    const LinkOutcome before = run_with_attach(TimeNs{mid}, false, pin);
+    const LinkOutcome during = run_with_attach(TimeNs{mid}, true, pin);
+    ASSERT_GT(before.drops, 0) << "mid " << mid;
+    EXPECT_EQ(during, before) << "mid " << mid;
+  }
+}
+
+TEST(FusedLink, MidStreamFaultFilterMatchesFilterBeforeTraffic) {
+  // The filter drops every second packet leaving the wire after `mid`; one
+  // attached before traffic sees the earlier exits too but passes them, so
+  // both runs must agree on exactly which packets the wire loses.
+  for (const std::int64_t mid : kMidpoints) {
+    const auto filter = [mid](World& w) {
+      w.link->set_fault_filter([&sim = w.sim, mid, seen = 0](const Packet&) mutable {
+        if (sim.now() <= TimeNs{mid}) return false;
+        return ++seen % 2 == 0;
+      });
+    };
+    const LinkOutcome before = run_with_attach(TimeNs{mid}, false, filter);
+    const LinkOutcome during = run_with_attach(TimeNs{mid}, true, filter);
+    ASSERT_GT(before.fault_drops, 0) << "mid " << mid;
+    EXPECT_EQ(during, before) << "mid " << mid;
+  }
+}
+
+TEST(FusedLink, SetDownAfterMidRunPinDeliversPropagatingPackets) {
+  // A pin hands the serializing and queued packets to the legacy serializer
+  // while two packets are still propagating in the fused pipe.  A set_down
+  // then aborts the legacy in-flight packet; it must not cancel the pipe's
+  // head event, or the propagating packets would be stranded.
+  const auto run = [](bool pin_mid_run) {
+    World w(true, 100_us);
+    if (!pin_mid_run) w.link->pin_legacy();
+    for (int i = 0; i < 4; ++i) {
+      w.link->enqueue(make_packet(w.sim.packet_pool(), PacketKind::kData,
+                                  VmPairId{VmId{0}, VmId{1}}, TenantId{0}, HostId{0},
+                                  HostId{1}, 1500));
+    }
+    w.sim.run_until(TimeNs{3000});  // ser-ends 1.2/2.4 us passed, 3.6 us pending
+    if (pin_mid_run) {
+      w.link->pin_legacy();
+      EXPECT_EQ(w.link->pipe_depth(), 2u);
+    }
+    w.link->set_down(true);
+    w.sim.run();
+    std::vector<TimeNs> at;
+    for (const auto& [t, pkt] : w.sink.arrivals) at.push_back(t);
+    EXPECT_EQ(w.link->drops(), 2);
+    EXPECT_EQ(w.link->pipe_depth(), 0u);
+    w.sink.arrivals.clear();
+    const PacketPool& pool = w.sim.packet_pool();
+    EXPECT_EQ(pool.allocated() - pool.free_count(), 0u) << "packets stranded in the link";
+    return at;
+  };
+  const std::vector<TimeNs> reference = run(false);
+  EXPECT_EQ(reference, (std::vector<TimeNs>{TimeNs{101'200}, TimeNs{102'400}}));
+  EXPECT_EQ(run(true), reference);
 }
 
 }  // namespace
