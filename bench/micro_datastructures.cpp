@@ -46,19 +46,31 @@ void BM_BloomLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomLookup);
 
+/// One WFQ level (4 tenants of equal weight), 128 entities, range(0) of them
+/// backlogged and spread evenly; the rest report idle. range(1) = 1: the
+/// backlogged entities can send (a hit); 0: all are blocked (a miss, which
+/// visits every backlogged entity). With the backlog index a pull costs
+/// O(backlogged), so {2, 0} and {2, 1} must stay near {128, 1}, far below
+/// {128, 0}.
 void BM_WfqNext(benchmark::State& state) {
+  constexpr std::uint64_t kEntities = 128;
+  const auto backlogged = static_cast<std::uint64_t>(state.range(0));
+  const bool hit = state.range(1) != 0;
   edge::WfqScheduler wfq(1.0);
-  const auto entities = static_cast<std::uint64_t>(state.range(0));
-  for (std::uint64_t e = 1; e <= entities; ++e) {
-    const TenantId t{static_cast<std::int32_t>(e % 16)};
-    wfq.set_tenant_weight(t, static_cast<double>(1 + e % 8));
-    wfq.add(t, e);
+  for (std::int32_t t = 0; t < 4; ++t) wfq.set_tenant_weight(TenantId{t}, 1.0);
+  for (std::uint64_t e = 1; e <= kEntities; ++e) {
+    wfq.add(TenantId{static_cast<std::int32_t>(e % 4)}, e);
   }
+  const std::uint64_t stride = kEntities / backlogged;
+  const auto sendable = [stride, hit](std::uint64_t e) -> std::int32_t {
+    if ((e - 1) % stride != 0) return -1;
+    return hit ? 1500 : 0;
+  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wfq.next([](std::uint64_t) { return 1500; }));
+    benchmark::DoNotOptimize(wfq.next(sendable));
   }
 }
-BENCHMARK(BM_WfqNext)->Arg(8)->Arg(64)->Arg(512);
+BENCHMARK(BM_WfqNext)->ArgsProduct({{2, 128}, {0, 1}});
 
 void BM_EventQueue(benchmark::State& state) {
   sim::Simulator sim;

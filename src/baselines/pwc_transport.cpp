@@ -28,10 +28,8 @@ void PwcTransport::on_connection_created(transport::Connection& conn) {
   c.swift = std::make_unique<SwiftCc>(cfg_.swift, c.base_rtt, tokens / cfg_.weight_unit_bps);
   c.clove = std::make_unique<CloveSelector>(cfg_.clove, std::max<std::size_t>(1, c.candidates.size()),
                                             rng().fork(c.pair.key()));
-  const std::uint64_t entity = next_entity_++;
-  by_entity_[entity] = &c;
   wfq_.set_tenant_weight(c.tenant, vms().tenant_guarantee(c.tenant).bits_per_sec());
-  wfq_.add(c.tenant, entity);
+  wfq_.add(c.tenant, c.index + 1);
 }
 
 bool PwcTransport::can_send(const transport::Connection& conn) const {
@@ -69,19 +67,27 @@ void PwcTransport::select_path(transport::Connection& conn) {
   c.path_idx = c.clove->select(simulator().now());
 }
 
-transport::Connection* PwcTransport::next_sender() {
-  // PicNIC's sender-side bandwidth envelope: WFQ across tenants.
-  const auto sendable = [this](std::uint64_t entity) -> std::int32_t {
-    auto it = by_entity_.find(entity);
-    if (it == by_entity_.end()) return 0;
-    transport::Connection* c = it->second;
-    if (!c->has_backlog() || !can_send(*c) || earliest_send(*c) > simulator().now()) return 0;
-    return c->next_wire_size(options().mtu_payload, sim::kDataHeaderBytes);
+transport::Connection* PwcTransport::next_sender(TimeNs& wake) {
+  // PicNIC's sender-side bandwidth envelope: WFQ across tenants. A miss
+  // evaluates every backlogged connection once, so the pacing wake-up is
+  // the minimum taken along the way.
+  const TimeNs now = simulator().now();
+  const auto sendable = [this, now, &wake](std::uint64_t entity) -> std::int32_t {
+    const transport::Connection& c = *conn_order_[entity - 1];
+    if (!c.has_backlog()) return -1;
+    if (!can_send(c)) return 0;
+    const TimeNs at = earliest_send(c);
+    if (at > now) {
+      wake = std::min(wake, at);
+      return 0;
+    }
+    return c.next_wire_size(options().mtu_payload, sim::kDataHeaderBytes);
   };
   const std::uint64_t entity = wfq_.next(sendable);
-  if (entity == 0) return nullptr;
-  return by_entity_.at(entity);
+  return entity == 0 ? nullptr : conn_order_[entity - 1];
 }
+
+void PwcTransport::on_backlog(transport::Connection& conn) { wfq_.activate(conn.index + 1); }
 
 void PwcTransport::on_data_received(const sim::Packet& pkt) {
   auto& a = arrivals_[pkt.pair.key()];

@@ -43,7 +43,7 @@ struct PwcConnection : transport::Connection {
   TimeNs next_send_at = TimeNs::zero();
 };
 
-class PwcTransport : public transport::TransportStack {
+class PwcTransport final : public transport::TransportStack {
  public:
   PwcTransport(topo::Network& net, const harness::VmMap& vms, HostId host, PwcConfig cfg = {},
                transport::TransportOptions topts = {}, Rng rng = Rng{1});
@@ -61,16 +61,17 @@ class PwcTransport : public transport::TransportStack {
   void on_data_received(const sim::Packet& pkt) override;
   void on_control_packet(sim::PacketPtr pkt) override;
   void select_path(transport::Connection& conn) override;
-  transport::Connection* next_sender() override;
+  void on_backlog(transport::Connection& conn) override;
+  transport::Connection* next_sender(TimeNs& wake) override;
 
  private:
   void rcm_tick();
   void ensure_rcm_timer();
 
   PwcConfig cfg_;
+  /// Sender-side WFQ; a connection's entity id is its index in
+  /// conn_order_ plus one.
   edge::WfqScheduler wfq_;
-  std::unordered_map<std::uint64_t, transport::Connection*> by_entity_;
-  std::uint64_t next_entity_ = 1;
 
   /// Receiver-side arrival accounting per incoming pair.
   struct Arrival {

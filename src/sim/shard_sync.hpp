@@ -70,8 +70,13 @@ class ShardMailbox {
 
   void post(T v) {
     const std::uint64_t pos = tail_;
-    UFAB_CHECK_MSG(pos - head_ < kChunkItems * kMaxChunks,
-                   "shard mailbox overflow: one pass posted too many crossings");
+    if (pos - head_seen_ >= kChunkItems * kMaxChunks) {
+      // The cached bound says full: refresh it from the reader's published
+      // head (acquire pairs with drain's release) before declaring overflow.
+      head_seen_ = head_.load(std::memory_order_acquire);
+      UFAB_CHECK_MSG(pos - head_seen_ < kChunkItems * kMaxChunks,
+                     "shard mailbox overflow: one pass posted too many crossings");
+    }
     Chunk*& slot = chunks_[(pos / kChunkItems) % kMaxChunks];
     if (slot == nullptr) slot = new Chunk();
     slot->items[pos % kChunkItems] = std::move(v);
@@ -94,12 +99,15 @@ class ShardMailbox {
   template <typename Fn>
   std::size_t drain(Fn&& fn) {
     const std::uint64_t avail = published_.load(std::memory_order_acquire);
-    if (avail == head_) return 0;
-    const auto batch = static_cast<std::size_t>(avail - head_);
-    for (std::uint64_t pos = head_; pos < avail; ++pos) {
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
+    if (avail == head) return 0;
+    const auto batch = static_cast<std::size_t>(avail - head);
+    for (std::uint64_t pos = head; pos < avail; ++pos) {
       fn(std::move(chunks_[(pos / kChunkItems) % kMaxChunks]->items[pos % kChunkItems]));
     }
-    head_ = avail;
+    // Release: the moves out of the drained slots happen-before a writer
+    // that acquires this head reuses them.
+    head_.store(avail, std::memory_order_release);
     ++drains_;
     if (batch > max_batch_) max_batch_ = batch;
     return batch;
@@ -109,14 +117,17 @@ class ShardMailbox {
 
   /// True when every posted entry has been drained.  Only meaningful while
   /// both sides are quiesced (between passes).
-  [[nodiscard]] bool quiesced_empty() const { return head_ == tail_; }
+  [[nodiscard]] bool quiesced_empty() const {
+    return head_.load(std::memory_order_relaxed) == tail_;
+  }
 
   /// Rewinds the monotone positions once they near the chunk-index wrap, so
   /// arbitrarily long runs never overflow.  Requires an empty channel.
   void maybe_reset() {
     if (tail_ < kChunkItems * (kMaxChunks / 2)) return;
-    UFAB_CHECK(head_ == tail_);
-    head_ = tail_ = 0;
+    UFAB_CHECK(quiesced_empty());
+    tail_ = head_seen_ = 0;
+    head_.store(0, std::memory_order_relaxed);
     published_.store(0, std::memory_order_relaxed);
   }
 
@@ -130,7 +141,9 @@ class ShardMailbox {
   /// cross-shard traffic gauge the profiler exports.
   [[nodiscard]] std::size_t max_drain_batch() const { return max_batch_; }
   /// Entries posted but not yet drained (quiesced read; pending() uses it).
-  [[nodiscard]] std::size_t size() const { return static_cast<std::size_t>(tail_ - head_); }
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(tail_ - head_.load(std::memory_order_relaxed));
+  }
 
  private:
   struct Chunk {
@@ -141,6 +154,10 @@ class ShardMailbox {
 
   // Writer-owned.
   std::uint64_t tail_ = 0;    ///< Next position to post.
+  /// The writer's last read of `head_`: a lower bound on the reader's
+  /// progress, so the overflow check touches the reader's line only when
+  /// this bound says the ring is full.
+  std::uint64_t head_seen_ = 0;
   std::uint64_t posted_ = 0;
   std::uint64_t flushes_ = 0;
 
@@ -150,7 +167,9 @@ class ShardMailbox {
   std::atomic<std::uint64_t> published_{0};
 
   // Reader-owned.
-  std::uint64_t head_ = 0;    ///< Next position to drain.
+  /// Next position to drain; written only by the reader, published with
+  /// release so the writer's overflow check may read it.
+  std::atomic<std::uint64_t> head_{0};
   std::uint64_t drains_ = 0;
   std::size_t max_batch_ = 0;
 };

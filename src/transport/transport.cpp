@@ -59,6 +59,7 @@ Connection& TransportStack::connection(VmPairId pair, TenantId tenant) {
   conn->base_rtt = net_.base_rtt(host_, conn->dst_host);
   assign_candidate_paths(*conn);
   Connection& ref = *conn;
+  conn->index = static_cast<std::uint32_t>(conn_order_.size());
   conn_order_.push_back(conn.get());
   conns_.emplace(pair, std::move(conn));
   on_connection_created(ref);
@@ -108,6 +109,7 @@ std::uint64_t TransportStack::send_message(Message msg) {
   const bool was_idle = !conn.has_backlog() && conn.inflight_bytes == 0;
   conn.pending_msgs[msg.id] = Connection::PendingMessage{msg.size_bytes, msg};
   conn.sendq.push_back(msg);
+  on_backlog(conn);
   if (was_idle) on_demand_arrived(conn);
   kick();
   return msg.id;
@@ -130,27 +132,26 @@ void TransportStack::kick_at(TimeNs t) {
 
 void TransportStack::send_control_packet(PacketPtr pkt) { host().send_control(std::move(pkt)); }
 
-Connection* TransportStack::next_sender() {
+Connection* TransportStack::next_sender(TimeNs& wake) {
   if (conn_order_.empty()) return nullptr;
   const TimeNs now = sim_.now();
   for (std::size_t i = 0; i < conn_order_.size(); ++i) {
     rr_cursor_ = (rr_cursor_ + 1) % conn_order_.size();
     Connection* c = conn_order_[rr_cursor_];
-    if (c->has_backlog() && can_send(*c) && earliest_send(*c) <= now) return c;
+    if (!c->has_backlog() || !can_send(*c)) continue;
+    const TimeNs at = earliest_send(*c);
+    if (at <= now) return c;
+    wake = std::min(wake, at);
   }
   return nullptr;
 }
 
 PacketPtr TransportStack::pull() {
-  Connection* c = next_sender();
+  TimeNs wake = TimeNs::max();
+  Connection* c = next_sender(wake);
   if (c == nullptr) {
     // Nothing sendable now: if some connection is only pacing-blocked,
     // schedule a wake-up at its release time.
-    TimeNs wake = TimeNs::max();
-    for (Connection* conn : conn_order_) {
-      if (!conn->has_backlog() || !can_send(*conn)) continue;
-      wake = std::min(wake, earliest_send(*conn));
-    }
     if (wake != TimeNs::max() && wake > sim_.now()) kick_at(wake);
     return nullptr;
   }
@@ -276,6 +277,7 @@ void TransportStack::scan_for_timeouts() {
                 return a.offset < b.offset;
               });
     for (auto& o : expired) conn->rtx_queue.push_back(std::move(o));
+    if (!expired.empty()) on_backlog(*conn);
     if (!conn->outstanding.empty() || !conn->rtx_queue.empty()) any_outstanding = true;
   }
   if (any_outstanding) ensure_rtx_scan();

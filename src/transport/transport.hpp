@@ -62,6 +62,8 @@ struct Connection {
 
   VmPairId pair;
   TenantId tenant;
+  /// Position in the owning stack's connections() (creation order, dense).
+  std::uint32_t index = 0;
   HostId src_host;
   HostId dst_host;
   TimeNs base_rtt;
@@ -199,12 +201,19 @@ class TransportStack : public sim::HostStack {
   virtual void on_data_received(const sim::Packet& pkt) { (void)pkt; }
   /// A connection with pending data went idle->active (new demand).
   virtual void on_demand_arrived(Connection& conn) { (void)conn; }
+  /// `conn` just gained backlog: a message was queued or timed-out packets
+  /// moved to its retransmit queue. These are the only two places backlog
+  /// is created, so a scheduler that parks idle connections re-arms here.
+  virtual void on_backlog(Connection& conn) { (void)conn; }
   /// Re-chooses the connection's path just before a data packet is built
   /// (flowlet selectors override this). Default: keep the current path.
   virtual void select_path(Connection& conn) { (void)conn; }
   /// Scheduler: next connection allowed to send, or nullptr. The default is
   /// round-robin over connections that have backlog and pass can_send().
-  virtual Connection* next_sender();
+  /// On nullptr, `wake` holds the earliest earliest_send() over connections
+  /// that have backlog and pass can_send() but are still pacing-blocked
+  /// (untouched if none), so a miss costs no second walk of the connections.
+  virtual Connection* next_sender(TimeNs& wake);
 
   // --- services for subclasses ---
   [[nodiscard]] topo::Network& network() { return net_; }

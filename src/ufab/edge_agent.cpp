@@ -116,11 +116,8 @@ void EdgeAgent::on_connection_created(transport::Connection& conn) {
   c.w_stage = c.window;
   c.epoch_started = simulator().now();
 
-  const std::uint64_t entity = next_entity_++;
-  by_entity_[entity] = &c;
-  entity_of_pair_[c.pair.key()] = entity;
   wfq_.set_tenant_weight(c.tenant, vms().tenant_guarantee(c.tenant).bits_per_sec());
-  wfq_.add(c.tenant, entity);
+  wfq_.add(c.tenant, c.index + 1);
   ensure_token_timer();
 }
 
@@ -137,18 +134,21 @@ bool EdgeAgent::can_send(const transport::Connection& conn) const {
   return c.window - static_cast<double>(c.inflight_bytes) >= static_cast<double>(next) / 2.0;
 }
 
-transport::Connection* EdgeAgent::next_sender() {
+transport::Connection* EdgeAgent::next_sender(TimeNs& wake) {
+  // uFAB admits by window, never by pacing time, so a miss leaves `wake`
+  // untouched.
+  (void)wake;
   const auto sendable = [this](std::uint64_t entity) -> std::int32_t {
-    auto it = by_entity_.find(entity);
-    if (it == by_entity_.end()) return 0;
-    UfabConnection* c = it->second;
-    if (!c->has_backlog() || !can_send(*c)) return 0;
-    return c->next_wire_size(options().mtu_payload, sim::kDataHeaderBytes);
+    const transport::Connection& c = *conn_order_[entity - 1];
+    if (!c.has_backlog()) return -1;
+    if (!can_send(c)) return 0;
+    return c.next_wire_size(options().mtu_payload, sim::kDataHeaderBytes);
   };
   const std::uint64_t entity = wfq_.next(sendable);
-  if (entity == 0) return nullptr;
-  return by_entity_.at(entity);
+  return entity == 0 ? nullptr : conn_order_[entity - 1];
 }
+
+void EdgeAgent::on_backlog(transport::Connection& conn) { wfq_.activate(conn.index + 1); }
 
 void EdgeAgent::on_data_sent(transport::Connection& conn, const sim::Packet& pkt) {
   (void)pkt;

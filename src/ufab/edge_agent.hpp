@@ -176,7 +176,7 @@ struct UfabConnection : transport::Connection {
   std::vector<TimeNs> response_times;
 };
 
-class EdgeAgent : public transport::TransportStack {
+class EdgeAgent final : public transport::TransportStack {
  public:
   EdgeAgent(topo::Network& net, const harness::VmMap& vms, HostId host,
             EdgeConfig cfg = {}, transport::TransportOptions topts = {}, Rng rng = Rng{1});
@@ -205,8 +205,9 @@ class EdgeAgent : public transport::TransportStack {
   bool can_send(const transport::Connection& conn) const override;
   void on_data_sent(transport::Connection& conn, const sim::Packet& pkt) override;
   void on_demand_arrived(transport::Connection& conn) override;
+  void on_backlog(transport::Connection& conn) override;
   void on_control_packet(sim::PacketPtr pkt) override;
-  transport::Connection* next_sender() override;
+  transport::Connection* next_sender(TimeNs& wake) override;
 
  private:
   // --- probing ---
@@ -265,10 +266,9 @@ class EdgeAgent : public transport::TransportStack {
   std::unordered_map<std::uint64_t, PendingFinish> pending_finishes_;
 
   EdgeConfig cfg_;
+  /// NIC scheduler over this host's connections; a connection's entity id
+  /// is its index in conn_order_ plus one.
   WfqScheduler wfq_;
-  std::unordered_map<std::uint64_t, UfabConnection*> by_entity_;  // WFQ entity -> conn
-  std::uint64_t next_entity_ = 1;
-  std::unordered_map<std::int64_t, std::uint64_t> entity_of_pair_;  // pair key -> entity
 
   /// Receiver-side incoming-pair state for token admission.
   struct IncomingPair {

@@ -145,6 +145,34 @@ TEST(EsIntegration, RateFloorCausesQueueingUfabAvoids) {
   EXPECT_LT(ufab_queue, 80'000);
 }
 
+TEST(SchemeTransport, TimedOutPacketsResendAfterSenderWentIdle) {
+  // uFAB and PWC schedule the NIC with a WFQ that parks a pair once its send
+  // queue is empty. Here a one-packet message is lost on a dead trunk after
+  // the sender already reported idle, so only the retransmit queue can
+  // finish it: the timeout must re-arm the pair.
+  for (const Scheme s : {Scheme::kUfab, Scheme::kPwc, Scheme::kEsClove}) {
+    SCOPED_TRACE(to_string(s));
+    World w(s, dumbbell_for(s));
+    auto& vms = w.fab.vms();
+    const TenantId t = vms.add_tenant("A", 1_Gbps);
+    const VmPairId pair{vms.add_vm(t, HostId{0}), vms.add_vm(t, HostId{2})};
+    sim::Link* trunk = nullptr;
+    for (sim::Link* l : w.fab.net().links()) {
+      if (l->name() == "ToR-L->ToR-R") trunk = l;
+    }
+    ASSERT_NE(trunk, nullptr);
+    int delivered = 0;
+    w.fab.add_delivery_listener([&](const transport::Message&, TimeNs) { ++delivered; });
+    trunk->set_down(true);
+    w.fab.send(pair, 1'000);
+    w.fab.sim().at(200_us, [&] { trunk->set_down(false); });
+    w.fab.sim().run_until(20_ms);
+    EXPECT_EQ(delivered, 1);
+    EXPECT_GT(trunk->drops(), 0);
+    EXPECT_GT(w.fab.stack_at(HostId{0}).retransmits(), 0);
+  }
+}
+
 TEST(SchemeFactory, NamesAndEcnWiring) {
   EXPECT_STREQ(to_string(Scheme::kUfab), "uFAB");
   EXPECT_STREQ(to_string(Scheme::kPwc), "PicNIC'+WCC+Clove");
