@@ -86,8 +86,9 @@ void BM_EventQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue);
 
-/// Dense tie-heavy pattern: bursts land in one calendar bucket (same-time
-/// events exercise the FIFO tie-break path and per-bucket heap sifting).
+/// Dense tie-heavy pattern: bursts land in one calendar bucket.  Same-time
+/// root events tie on time and parent identity, so every sift compare falls
+/// through to the child counter k.
 void BM_EventQueueBurst(benchmark::State& state) {
   sim::Simulator sim;
   std::int64_t t = 1;
@@ -117,6 +118,43 @@ void BM_EventQueueFarHorizon(benchmark::State& state) {
   benchmark::DoNotOptimize(sim.events_processed());
 }
 BENCHMARK(BM_EventQueueFarHorizon);
+
+/// One steady-state calendar event: a 40-byte capture that, when fired,
+/// schedules its successor 0.5–2 µs ahead, drawn from a fixed LCG.
+struct SteadyEvent {
+  sim::Simulator* sim;
+  std::uint64_t* lcg;
+  std::uint64_t payload[3];
+  void operator()() const {
+    *lcg = *lcg * 6364136223846793005ull + 1442695040888963407ull;
+    SteadyEvent next = *this;
+    ++next.payload[0];
+    sim->after(TimeNs{500 + static_cast<std::int64_t>((*lcg >> 33) % 1501)}, next);
+  }
+};
+static_assert(sizeof(SteadyEvent) == 40);
+
+/// Steady-state pattern: 400 events stay pending, as on a busy fabric, and
+/// each iteration runs 1.2 ms of simulated time — more than two revolutions
+/// of the ~0.5 ms ring — so the cost of the memory every bucket touches
+/// shows here, where the 64-event benches above keep the calendar nearly
+/// empty.  Items are events fired.
+void BM_EventQueueSteady(benchmark::State& state) {
+  constexpr int kPending = 400;
+  sim::Simulator sim;
+  std::uint64_t lcg = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < kPending; ++i) {
+    SteadyEvent{&sim, &lcg, {static_cast<std::uint64_t>(i), 0, 0}}();
+  }
+  TimeNs horizon = sim.now();
+  for (auto _ : state) {
+    horizon += 1'200_us;
+    sim.run_until(horizon);
+  }
+  benchmark::DoNotOptimize(sim.events_processed());
+  state.SetItemsProcessed(static_cast<std::int64_t>(sim.events_processed()));
+}
+BENCHMARK(BM_EventQueueSteady)->Unit(benchmark::kMillisecond);
 
 /// Cross-shard handoff cost: one window's worth of mailbox posts, the single
 /// release-store flush, and the receiver's acquire-drain.

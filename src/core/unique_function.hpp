@@ -11,11 +11,12 @@
 // owned PacketPtr) then cost no heap allocation per scheduled event.  Larger
 // or over-aligned captures fall back to the heap transparently.
 //
-// Dispatch is by plain function pointers rather than a vtable, because moves
-// dominate calls on the event-queue hot path (an event is moved into and out
-// of its calendar bucket but called once).  A trivially relocatable capture —
-// see is_trivially_relocatable_v below — moves as a fixed-size memcpy of the
-// inline buffer with no indirect call at all.
+// Dispatch is by plain function pointers rather than a vtable, so a null
+// `destroy_` / `relocate_` can mark a capture that needs neither: a
+// trivially relocatable capture — see is_trivially_relocatable_v below —
+// moves as a fixed-size memcpy of the inline buffer with no indirect call at
+// all.  (A scheduled event's closure moves once, into its slot in the
+// simulator's closure slab, and later runs there in place.)
 #pragma once
 
 #include <cstddef>
@@ -83,6 +84,9 @@ class UniqueFunction {
   void operator()() { call_(obj()); }
 
   [[nodiscard]] explicit operator bool() const { return call_ != nullptr; }
+
+  /// Destroys the capture, leaving this empty.
+  void reset() noexcept { destroy(); }
 
   /// True when the capture lives in the inline buffer (tests / benchmarks).
   [[nodiscard]] bool is_inline() const { return call_ != nullptr && inline_; }

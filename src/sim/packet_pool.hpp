@@ -83,6 +83,8 @@ class PacketPool {
   [[nodiscard]] std::size_t free_count() const { return free_.size(); }
   /// Packets returned to the freelist for reuse (counted at put time).
   [[nodiscard]] std::uint64_t recycled_total() const { return recycled_; }
+  /// Packets taken and not yet returned to this pool.
+  [[nodiscard]] std::size_t in_use() const { return in_use_; }
   /// Most packets simultaneously live over the pool's lifetime (shard
   /// imbalance shows up here: a hot shard's pool peaks far above the rest).
   [[nodiscard]] std::size_t in_use_high_water() const { return in_use_hwm_; }

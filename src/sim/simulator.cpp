@@ -76,12 +76,11 @@ Simulator::~Simulator() {
   for (auto& s : shards_) {
     for (Bucket& b : s->ring) {
       b.heap.clear();
-      b.slots.clear();
       b.fixup_from = Bucket::kNoFixup;
     }
     s->overflow.heap.clear();
-    s->overflow.slots.clear();
-    s->overflow.free_idx.clear();
+    s->slab.chunks.clear();
+    s->slab.free.clear();
     s->ring_size = 0;
     s->touched.clear();
   }
@@ -302,10 +301,10 @@ void Simulator::shard_pass(Shard& s, TimeNs boundary, bool inclusive) {
     return;
   }
   while (true) {
-    const Event* ev = peek(s);
+    const HeapEntry* ev = peek(s);
     if (ev == nullptr) break;
     if (inclusive ? ev->at > boundary : ev->at >= boundary) break;
-    pop_and_run(s);
+    fire(s, pop_peeked(s));
   }
 }
 
@@ -342,24 +341,20 @@ void Simulator::drain_incoming(Shard& s) {
 /// export scales sampled ticks back up by count/sampled.  A clock-read pair
 /// can cost tens of ns on VMs with slow TSC reads, comparable to the mean
 /// event itself, so per-event timing would blow the <= 5% overhead guard.
-/// The event sequence is identical to pop_and_run after a successful peek.
+/// The event sequence is identical to the unprofiled fire(s, pop_peeked(s)).
 void Simulator::pop_and_run_profiled(Shard& s, obs::ProfSlice& sl) {
   obs::Profiler& p = *prof_;
   const bool timed = (sl.strided++ & p.timing_mask()) == 0;
   const std::int64_t t0 = timed ? obs::ProfClock::now() : 0;
-  Event ev = s.peeked_overflow ? bucket_pop<true>(s.overflow)
-                               : bucket_pop<false>(s.ring[s.cursor & (kNumBuckets - 1)]);
-  if (!s.peeked_overflow) --s.ring_size;
-  s.now = ev.at;
-  ++s.processed;
-  const obs::ProfCat dispatch_cat =
-      ev.fn.invokes<DeliverEvent>() || ev.fn.invokes<FusedLinkDeliver>()
-          ? obs::ProfCat::kDispatchDeliver
-          : obs::ProfCat::kDispatchClosure;
+  const HeapEntry e = pop_peeked(s);
+  const UniqueFunction& fn = s.slab[e.idx];
+  const obs::ProfCat dispatch_cat = fn.invokes<DeliverEvent>() || fn.invokes<FusedLinkDeliver>()
+                                        ? obs::ProfCat::kDispatchDeliver
+                                        : obs::ProfCat::kDispatchClosure;
   sl.bump(obs::ProfCat::kQueuePop);
   sl.bump(dispatch_cat);
   const std::int64_t t1 = timed ? obs::ProfClock::now() : 0;
-  fire(s, ev);
+  fire(s, e);
   if (timed) {
     const std::int64_t t2 = obs::ProfClock::now();
     sl.add_sampled(obs::ProfCat::kQueuePop, t1 - t0);
@@ -381,7 +376,7 @@ void Simulator::shard_pass_profiled(Shard& s, TimeNs boundary, bool inclusive) {
   obs::ProfSlice* const prev_tls = obs::tls_prof_slice;
   if (p.detailed()) obs::tls_prof_slice = &sl;
   while (true) {
-    const Event* ev = peek(s);
+    const HeapEntry* ev = peek(s);
     if (ev == nullptr) break;
     if (inclusive ? ev->at > boundary : ev->at >= boundary) break;
     pop_and_run_profiled(s, sl);
@@ -396,7 +391,7 @@ void Simulator::run_serial_profiled(Shard& s, TimeNs bound) {
   if (p.detailed()) obs::tls_prof_slice = &sl;
   const std::int64_t loop_start = obs::ProfClock::now();
   while (true) {
-    const Event* ev = peek(s);
+    const HeapEntry* ev = peek(s);
     if (ev == nullptr || ev->at > bound) break;
     pop_and_run_profiled(s, sl);
   }
@@ -407,7 +402,7 @@ void Simulator::run_serial_profiled(Shard& s, TimeNs bound) {
 TimeNs Simulator::earliest_pending() {
   TimeNs earliest = TimeNs::max();
   for (auto& s : shards_) {
-    const Event* ev = peek(*s);
+    const HeapEntry* ev = peek(*s);
     if (ev != nullptr && ev->at < earliest) earliest = ev->at;
   }
   return earliest;
@@ -474,7 +469,7 @@ bool Simulator::solo_run(int x, TimeNs limit) {
   const int n = shard_count();
   bool progressed = false;
   while (true) {
-    const Event* ev = peek(s);
+    const HeapEntry* ev = peek(s);
     if (ev == nullptr) break;
     if (out_la == TimeNs::max()) {
       // No outgoing cut links: nothing this shard runs can wake a peer.  Run

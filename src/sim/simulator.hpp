@@ -7,12 +7,11 @@
 // Each shard's list is a two-tier bucketed calendar queue rather than one
 // global binary heap.  Near-horizon events (within ~0.5 ms of `now`) land in
 // a ring of 512 ns time buckets; far-horizon events go to an overflow tier
-// and migrate into the ring as the clock approaches them.  Each bucket keeps
-// its events in an append-only slot vector (reset whenever the bucket drains,
-// which at 512 ns a bucket is constantly) and orders them through a small
-// heap of (time, h, k, slot) keys — sifts compare and move 24-byte keys
-// without touching the events themselves, and a closure is moved exactly once
-// in (into its slot) and once out (when it fires).
+// and migrate into the ring as the clock approaches them.  A bucket is only a
+// small heap of 24-byte (time, h, k, idx) keys; the closures themselves live
+// in one per-shard slab of fixed-address chunks with a LIFO free list, `idx`
+// naming a slot.  A closure moves once, into its slot, and runs there in
+// place; sifts and overflow migration move keys only.
 //
 // Ordering is canonical and causal: h is a mixed 64-bit identity of the
 // *scheduling parent* (the event whose closure called at()/after(), or a
@@ -23,9 +22,10 @@
 // run does.  Within one parent, ties keep FIFO order (k increments); across
 // parents at the same instant, the mixed identity is the arbiter.  (A 64-bit
 // hash collision between two distinct parents scheduling at the same
-// nanosecond would fall through to the slot index; at fig17 scale the
-// probability is ~1e-10 per run and any such run would still be
-// deterministic, just not provably shard-count-invariant.)
+// nanosecond would leave that pair's order to the heap layout; at fig17
+// scale the probability is ~1e-10 per run and any such run would still be
+// deterministic, just not provably shard-count-invariant.  Debug builds
+// check on every push that no two pending keys share (time, h, k).)
 //
 // Sharded execution (configure_shards(n > 1)) is conservative parallel DES:
 // shards advance through lookahead windows (the min propagation delay over
@@ -61,6 +61,7 @@
 #include "src/core/time.hpp"
 #include "src/core/unique_function.hpp"
 #include "src/obs/profiler.hpp"
+#include "src/sim/node.hpp"
 #include "src/sim/packet.hpp"
 #include "src/sim/packet_pool.hpp"
 #include "src/sim/shard_sync.hpp"
@@ -106,7 +107,7 @@ class Simulator {
         run_serial_profiled(s, TimeNs::max());
         return;
       }
-      while (peek(s) != nullptr) pop_and_run(s);
+      while (peek(s) != nullptr) fire(s, pop_peeked(s));
     } else {
       run_sharded_drain();
     }
@@ -120,9 +121,9 @@ class Simulator {
         run_serial_profiled(s, t);
       } else {
         while (true) {
-          const Event* ev = peek(s);
+          const HeapEntry* ev = peek(s);
           if (ev == nullptr || ev->at > t) break;
-          pop_and_run(s);
+          fire(s, pop_peeked(s));
         }
       }
       if (t > s.now) s.now = t;
@@ -148,7 +149,7 @@ class Simulator {
 
   /// The active shard's packet freelist: packets made through it are recycled
   /// on delivery/drop instead of freed (see PacketPool).  Declared before the
-  /// event tiers so pending events' packets are destroyed first on teardown.
+  /// closure slab so pending events' packets are destroyed first on teardown.
   [[nodiscard]] PacketPool& packet_pool() { return active().pool; }
 
   // --- sharding ---
@@ -376,6 +377,11 @@ class Simulator {
     return total;
   }
   [[nodiscard]] const PacketPool& shard_pool(int shard) const { return shard_at(shard).pool; }
+  /// Chunks `shard`'s closure slab holds (it grows to the pending-event
+  /// high-water mark and never shrinks before teardown).
+  [[nodiscard]] std::size_t shard_slab_chunks(int shard) const {
+    return shard_at(shard).slab.chunks.size();
+  }
 
   // --- engine self-profiling (see src/obs/profiler.hpp) ---
 
@@ -411,40 +417,53 @@ class Simulator {
   }
 
  private:
-  struct Event {
-    TimeNs at;
-    std::uint64_t h;
-    std::uint32_t k;
-    UniqueFunction fn;
-  };
-
-  /// Bucket-heap key: the event's full order key plus its slot index, so
-  /// sifting compares and moves these 24-byte entries only and never touches
-  /// the (much larger) events.
+  /// A pending event: its full order key plus the slab slot of its closure,
+  /// so sifting compares and moves these 24-byte entries only and never
+  /// touches the (much larger) closures.
   struct HeapEntry {
-    std::int64_t at;
+    TimeNs at;
     std::uint64_t h;
     std::uint32_t k;
     std::uint32_t idx;
   };
 
-  /// One calendar bucket: `heap` is a binary min-heap of HeapEntry keys over
-  /// the events stored in `slots`.  For ring buckets, slots are append-only
-  /// while the bucket has pending events and the vector resets (keeping
-  /// capacity) every time the bucket drains; at 512 ns per bucket that
-  /// happens constantly, so `slots` stays small and a steady-state bucket
-  /// allocates nothing.  The overflow tier instead recycles dead slots
-  /// through `free_idx` (see bucket_push<kRecycle>): recurring timers can
-  /// keep its heap non-empty for an entire run, so without reuse the slot
-  /// vector would grow with every far-scheduled event.  Recycling costs a
-  /// branch per push/pop, which measured slower on the ring hot path —
-  /// hence the compile-time split.
+  /// A shard's closure storage: chunks of kChunk closures that never move,
+  /// plus a LIFO free list of slot indices (the hottest slot is reused
+  /// first).  A firing closure runs in place and its slot is released only
+  /// after it returns, so whatever it schedules — even past a chunk boundary,
+  /// growing the slab — can neither reuse nor relocate it.  Sized by the
+  /// pending-event high-water mark, not by how many events ever ran.
+  struct ClosureSlab {
+    static constexpr std::uint32_t kChunkShift = 9, kChunk = 1u << kChunkShift;  // 512 slots
+
+    std::vector<std::unique_ptr<UniqueFunction[]>> chunks;
+    std::vector<std::uint32_t> free;
+
+    [[nodiscard]] UniqueFunction& operator[](std::uint32_t idx) {
+      return chunks[idx >> kChunkShift][idx & (kChunk - 1)];
+    }
+    [[nodiscard]] std::uint32_t put(UniqueFunction&& fn) {
+      if (free.empty()) {
+        const auto base = static_cast<std::uint32_t>(chunks.size()) << kChunkShift;
+        chunks.push_back(std::make_unique<UniqueFunction[]>(kChunk));
+        for (std::uint32_t i = kChunk; i-- > 0;) free.push_back(base + i);
+      }
+      const std::uint32_t idx = free.back();
+      free.pop_back();
+      (*this)[idx] = std::move(fn);
+      return idx;
+    }
+    void release(std::uint32_t idx) {
+      (*this)[idx].reset();
+      free.push_back(idx);
+    }
+  };
+
+  /// One calendar bucket: a binary min-heap of HeapEntry keys.
   struct Bucket {
     static constexpr std::uint32_t kNoFixup = 0xFFFFFFFFu;
 
-    std::vector<Event> slots;
     std::vector<HeapEntry> heap;
-    std::vector<std::uint32_t> free_idx;  ///< Overflow tier only: dead slots.
     /// Bulk-insert marker: heap size before the first deferred append of the
     /// current drain batch (kNoFixup when no fixup is pending).  Entries at
     /// or past it are appended un-heapified and restored in one end_bulk()
@@ -470,13 +489,14 @@ class Simulator {
   static constexpr int kMaxShards = 64;
 
   /// One event loop: its own clock, calendar, packet pool, and outbox.  The
-  /// pool is declared first so the event tiers (whose pending closures own
-  /// packets) are destroyed while the pool is still alive.
+  /// pool is declared first so the slab (whose pending closures own packets)
+  /// is destroyed while the pool is still alive.
   struct Shard {
     explicit Shard(int idx) : index(idx), ring(kNumBuckets) {}
 
     int index;
     PacketPool pool;
+    ClosureSlab slab;
     TimeNs now = TimeNs::zero();
     std::uint64_t processed = 0;
     std::vector<Bucket> ring;
@@ -514,93 +534,86 @@ class Simulator {
   /// functor type, not a function: passing a function pointer would make
   /// every sift comparison an indirect call (measured at >1e9 calls per
   /// fig17 run), while a stateless functor inlines into the sift loops.
+  /// There is no slab-index tie-break: a slot index says nothing about
+  /// scheduling order, and pending keys are unique (slab_key checks it in
+  /// debug builds), so (time, h, k) alone is the schedule.
   struct Later {
     [[nodiscard]] bool operator()(const HeapEntry& a, const HeapEntry& b) const {
       if (a.at != b.at) return a.at > b.at;
       if (a.h != b.h) return a.h > b.h;
-      if (a.k != b.k) return a.k > b.k;
-      return a.idx > b.idx;
+      return a.k > b.k;
     }
   };
 
-  template <bool kRecycle>
-  static void bucket_push(Bucket& b, TimeNs t, std::uint64_t h, std::uint32_t k,
-                          UniqueFunction&& fn) {
-    auto idx = static_cast<std::uint32_t>(b.slots.size());
-    if constexpr (kRecycle) {
-      if (!b.free_idx.empty()) {
-        idx = b.free_idx.back();
-        b.free_idx.pop_back();
-        b.slots[idx] = Event{t, h, k, std::move(fn)};
-      } else {
-        b.slots.emplace_back(t, h, k, std::move(fn));
-      }
-    } else {
-      b.slots.emplace_back(t, h, k, std::move(fn));
-    }
-    b.heap.push_back(HeapEntry{t.ns(), h, k, idx});
+  static void bucket_push(Bucket& b, const HeapEntry& e) {
+    b.heap.push_back(e);
     std::push_heap(b.heap.begin(), b.heap.end(), Later{});
   }
 
-  template <bool kRecycle>
-  static Event bucket_pop(Bucket& b) {
+  static HeapEntry bucket_pop(Bucket& b) {
     std::pop_heap(b.heap.begin(), b.heap.end(), Later{});
-    const std::uint32_t idx = b.heap.back().idx;
-    Event ev = std::move(b.slots[idx]);
+    const HeapEntry e = b.heap.back();
     b.heap.pop_back();
-    if (b.heap.empty()) {
-      b.slots.clear();  // keeps capacity
-      if constexpr (kRecycle) b.free_idx.clear();
-    } else if constexpr (kRecycle) {
-      b.free_idx.push_back(idx);
-    }
-    return ev;
+    return e;
   }
 
-  static void ring_push(Shard& s, std::uint64_t ab, TimeNs t, std::uint64_t h, std::uint32_t k,
-                        UniqueFunction&& fn) {
-    bucket_push<false>(s.ring[ab & (kNumBuckets - 1)], t, h, k, std::move(fn));
+  /// The ring bucket of absolute bucket `ab`, counted as gaining one event.
+  static Bucket& ring_bucket(Shard& s, std::uint64_t ab) {
     ++s.ring_size;
     if (ab < s.cursor) s.cursor = ab;
+    return s.ring[ab & (kNumBuckets - 1)];
+  }
+
+  /// Moves `fn` into the slab and returns its key.  Debug builds also prove
+  /// the key unique among pending events: an equal (at, h, k) could only sit
+  /// in the same ring bucket or in the overflow tier.
+  static HeapEntry slab_key(Shard& s, TimeNs t, std::uint64_t h, std::uint32_t k,
+                            UniqueFunction&& fn) {
+#ifndef NDEBUG
+    // One pair is exempt: Link::to_legacy leaves a fused link's neutralized
+    // head event pending at exactly the key its legacy DeliverEvent then
+    // takes.  The head fires as a no-op, so that pair's order cannot matter.
+    for (const Bucket* b : {&s.ring[abs_bucket(t) & (kNumBuckets - 1)], &s.overflow}) {
+      for (const HeapEntry& o : b->heap) {
+        UFAB_CHECK_MSG((o.at != t || o.h != h || o.k != k) ||
+                       (fn.invokes<DeliverEvent>() && s.slab[o.idx].invokes<FusedLinkDeliver>()),
+                       "two pending events share a key");
+      }
+    }
+#endif
+    return HeapEntry{t, h, k, s.slab.put(std::move(fn))};
   }
 
   static void push(Shard& s, TimeNs t, std::uint64_t h, std::uint32_t k, UniqueFunction&& fn) {
+    const HeapEntry e = slab_key(s, t, h, k, std::move(fn));
     const std::uint64_t ab = abs_bucket(t);
-    if (ab >= abs_bucket(s.now) + kNumBuckets) {
-      bucket_push<true>(s.overflow, t, h, k, std::move(fn));
-    } else {
-      ring_push(s, ab, t, h, k, std::move(fn));
-    }
+    bucket_push(ab >= abs_bucket(s.now) + kNumBuckets ? s.overflow : ring_bucket(s, ab), e);
   }
 
-  /// Bulk-insert path for mailbox drains: appends the event without sifting
-  /// its heap entry and marks the bucket for a deferred fixup.  The caller
-  /// MUST run end_bulk() before any peek()/pop on this shard.  Far-horizon
-  /// events (rare for crossings) take the ordinary overflow push.
+  /// Bulk-insert path for mailbox drains: appends the key without sifting it
+  /// and marks the bucket for a deferred fixup.  The caller MUST run
+  /// end_bulk() before any peek()/pop on this shard.  Far-horizon events
+  /// (rare for crossings) take the ordinary overflow push.
   static void push_deferred(Shard& s, TimeNs t, std::uint64_t h, std::uint32_t k,
                             UniqueFunction&& fn) {
     const std::uint64_t ab = abs_bucket(t);
     if (ab >= abs_bucket(s.now) + kNumBuckets) {
-      bucket_push<true>(s.overflow, t, h, k, std::move(fn));
+      push(s, t, h, k, std::move(fn));
       return;
     }
-    Bucket& b = s.ring[ab & (kNumBuckets - 1)];
+    Bucket& b = ring_bucket(s, ab);
     if (b.fixup_from == Bucket::kNoFixup) {
       b.fixup_from = static_cast<std::uint32_t>(b.heap.size());
       s.touched.push_back(&b);
     }
-    const auto idx = static_cast<std::uint32_t>(b.slots.size());
-    b.slots.emplace_back(t, h, k, std::move(fn));
-    b.heap.push_back(HeapEntry{t.ns(), h, k, idx});
-    ++s.ring_size;
-    if (ab < s.cursor) s.cursor = ab;
+    b.heap.push_back(slab_key(s, t, h, k, std::move(fn)));
   }
 
   /// Restores the heap property of every bucket push_deferred touched.  Small
   /// batches sift the appended entries one by one; a batch that rivals the
   /// bucket's population rebuilds the whole heap in O(n).  Pop order is the
-  /// strict (at, h, k, idx) total order either way, so heap layout never
-  /// leaks into the schedule.
+  /// strict (at, h, k) order either way, so heap layout never leaks into the
+  /// schedule.
   static void end_bulk(Shard& s) {
     for (Bucket* b : s.touched) {
       const std::size_t from = b->fixup_from;
@@ -624,17 +637,15 @@ class Simulator {
     if (s.overflow.empty()) return;  // the common case: nothing far-scheduled
     const std::uint64_t window_end = abs_bucket(s.now) + kNumBuckets;
     while (!s.overflow.empty()) {
-      const HeapEntry& top = s.overflow.heap.front();
-      const std::uint64_t ab = abs_bucket(TimeNs{top.at});
+      const std::uint64_t ab = abs_bucket(s.overflow.heap.front().at);
       if (ab >= window_end) break;
-      Event ev = bucket_pop<true>(s.overflow);
-      ring_push(s, ab, ev.at, ev.h, ev.k, std::move(ev.fn));
+      bucket_push(ring_bucket(s, ab), bucket_pop(s.overflow));
     }
   }
 
   /// The earliest pending event, or nullptr.  Advances the bucket cursor past
   /// empty buckets; `peeked_overflow` records which tier holds the result.
-  [[nodiscard]] static const Event* peek(Shard& s) {
+  [[nodiscard]] static const HeapEntry* peek(Shard& s) {
     migrate_overflow(s);
     if (s.ring_size > 0) {
       // Ring events are all within the window, so every index maps to one
@@ -642,39 +653,39 @@ class Simulator {
       if (s.cursor < abs_bucket(s.now)) s.cursor = abs_bucket(s.now);
       while (s.ring[s.cursor & (kNumBuckets - 1)].empty()) ++s.cursor;
       s.peeked_overflow = false;
-      const Bucket& b = s.ring[s.cursor & (kNumBuckets - 1)];
-      return &b.slots[b.heap.front().idx];
+      return &s.ring[s.cursor & (kNumBuckets - 1)].heap.front();
     }
     if (!s.overflow.empty()) {
       // Every within-window event has migrated, so the overflow top — which
       // lies beyond the window — is the global earliest.
       s.peeked_overflow = true;
-      return &s.overflow.slots[s.overflow.heap.front().idx];
+      return &s.overflow.heap.front();
     }
     return nullptr;
   }
 
-  /// Pops the event `peek()` just located and runs it.
-  void pop_and_run(Shard& s) {
-    Event ev = s.peeked_overflow ? bucket_pop<true>(s.overflow)
-                                 : bucket_pop<false>(s.ring[s.cursor & (kNumBuckets - 1)]);
+  /// Pops the key `peek()` just located and advances the clock to it.
+  static HeapEntry pop_peeked(Shard& s) {
     if (!s.peeked_overflow) --s.ring_size;
-    s.now = ev.at;
+    const HeapEntry e =
+        bucket_pop(s.peeked_overflow ? s.overflow : s.ring[s.cursor & (kNumBuckets - 1)]);
+    s.now = e.at;
     ++s.processed;
-    fire(s, ev);
+    return e;
   }
 
-  /// Runs a popped event as the shard's scheduling context, so everything it
-  /// schedules is keyed as its child.
-  static void fire(Shard& s, Event& ev) {
-    s.cur_id = event_identity(ev.h, ev.k);
+  /// Runs a popped event in its slab slot as the shard's scheduling context,
+  /// so everything it schedules is keyed as its child, then frees the slot.
+  static void fire(Shard& s, const HeapEntry& e) {
+    s.cur_id = event_identity(e.h, e.k);
     s.cur_k = 0;
-    s.cur_raw_h = ev.h;
-    s.cur_raw_k = ev.k;
+    s.cur_raw_h = e.h;
+    s.cur_raw_k = e.k;
     s.now_inclusive = false;  // same-instant events may still be pending
     s.in_event = true;
-    ev.fn();
+    s.slab[e.idx]();
     s.in_event = false;
+    s.slab.release(e.idx);
   }
 
   /// The key the next at()/after() on `s` stamps: the executing event's next

@@ -18,8 +18,14 @@ constexpr TimeNs kRtxScanInterval{50'000};  // 50 us
 
 TransportStack::TransportStack(topo::Network& net, const harness::VmMap& vms, HostId host,
                                TransportOptions opts, Rng rng)
-    : net_(net), vms_(vms), sim_(net.simulator()), host_(host), opts_(opts), rng_(rng) {
-  net_.host(host_).set_stack(this);
+    : net_(net),
+      vms_(vms),
+      sim_(net.simulator()),
+      host_(host),
+      host_node_(net.host(host)),
+      opts_(opts),
+      rng_(rng) {
+  host_node_.set_stack(this);
 }
 
 TransportStack::~TransportStack() = default;

@@ -220,7 +220,7 @@ class TransportStack : public sim::HostStack {
   [[nodiscard]] const harness::VmMap& vms() const { return vms_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] const sim::Simulator& simulator() const { return sim_; }
-  [[nodiscard]] sim::Host& host() { return net_.host(host_); }
+  [[nodiscard]] sim::Host& host() { return host_node_; }
   [[nodiscard]] const TransportOptions& options() const { return opts_; }
   [[nodiscard]] Rng& rng() { return rng_; }
 
@@ -253,6 +253,10 @@ class TransportStack : public sim::HostStack {
   const harness::VmMap& vms_;
   sim::Simulator& sim_;
   HostId host_;
+  /// The NIC node behind `host_`, resolved once: kick() and
+  /// send_control_packet() run per packet and skip Network::host()'s
+  /// dynamic_cast.
+  sim::Host& host_node_;
   TransportOptions opts_;
   Rng rng_;
 

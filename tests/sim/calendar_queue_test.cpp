@@ -5,8 +5,16 @@
 // within one parent.  These tests drive both through the same randomized schedules
 // — including events scheduled from inside running events, far-horizon events
 // that live in the overflow tier, and same-time bursts — and require the
-// exact same firing order.
+// exact same firing order.  Built without NDEBUG, every push also checks that
+// no two pending events share a (time, h, k) key, so the engine's final
+// slab-index compare never decides the order these tests compare.
+//
+// The remaining tests cover the closure slab the calendar keys point into:
+// growth while a closure runs, LIFO slot reuse, and teardown of pending
+// packet-owning closures on a sharded engine.
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <queue>
 #include <random>
@@ -15,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/time.hpp"
+#include "src/sim/packet.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace ufab::sim {
@@ -146,8 +155,8 @@ TEST(CalendarQueue, CursorRewindsForEarlierEvent) {
 
 TEST(CalendarQueue, RecurringTimerCrossesWindowRepeatedly) {
   Simulator sim;
-  // A self-rescheduling timer beyond the window exercises overflow push,
-  // migration, and the overflow tier's slot-recycling path on every tick.
+  // A self-rescheduling timer beyond the window exercises overflow push and
+  // migration into the ring on every tick.
   int ticks = 0;
   struct Timer {
     Simulator& sim;
@@ -176,6 +185,120 @@ TEST(CalendarQueue, RunUntilBoundaryIsInclusive) {
   EXPECT_EQ(sim.pending(), 1u);
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(CalendarQueue, SlabGrowsWhileAClosureRuns) {
+  // One closure schedules more children than a slab chunk holds, so the slab
+  // gains chunks while that closure is still executing from its own slot.
+  // Its captures must still read back intact afterwards (under ASan a moved
+  // or reused slot would be a use-after-free), and the children keep FIFO
+  // order within each instant.
+  constexpr int kChildren = 600;
+  Simulator sim;
+  std::vector<int> fired;
+  std::array<std::uint64_t, 4> seen{};
+  const std::array<std::uint64_t, 4> captured{0x0123456789ABCDEFull, 42, 7, ~0ull};
+  sim.at(TimeNs{100}, [&sim, &fired, &seen, captured] {
+    for (int i = 0; i < kChildren; ++i) {
+      sim.after(TimeNs{1 + i % 3}, [&fired, i] { fired.push_back(i); });
+    }
+    seen = captured;
+  });
+  sim.run();
+  EXPECT_EQ(seen, captured);
+  EXPECT_GE(sim.shard_slab_chunks(0), 2u);
+  std::vector<int> expected;
+  for (int r = 0; r < 3; ++r) {
+    for (int i = r; i < kChildren; i += 3) expected.push_back(i);
+  }
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.events_processed(), static_cast<std::uint64_t>(kChildren + 1));
+}
+
+TEST(CalendarQueue, RecurringOverflowTimerReusesOneSlabChunk) {
+  // A far-horizon timer goes overflow -> ring -> fire 1e5 times; each firing
+  // schedules its successor before its own slot is released, so two slots
+  // alternate and the slab never grows past its first chunk.
+  constexpr int kTicks = 100'000;
+  Simulator sim;
+  int ticks = 0;
+  struct Timer {
+    Simulator& sim;
+    int& ticks;
+    void fire() {
+      if (++ticks >= kTicks) return;
+      sim.after(TimeNs{700'000}, [this] { fire(); });
+    }
+  } timer{sim, ticks};
+  sim.after(TimeNs{700'000}, [&timer] { timer.fire(); });
+  sim.run();
+  EXPECT_EQ(ticks, kTicks);
+  EXPECT_EQ(sim.events_processed(), static_cast<std::uint64_t>(kTicks));
+  EXPECT_EQ(sim.shard_slab_chunks(0), 1u);
+}
+
+/// An event capture owning one packet.  When the last such capture dies it
+/// records every shard pool's in-use count, which shows whether pending
+/// closures were destroyed while all pools were still alive and took every
+/// packet home.  `live` is atomic: captures that fire before the cut die on
+/// the shards' worker threads.
+struct OwnedPacket {
+  PacketPtr pkt;
+  const Simulator* sim;
+  std::atomic<int>* live;
+  std::vector<std::size_t>* in_use_at_last;
+
+  OwnedPacket(PacketPtr p, const Simulator* s, std::atomic<int>* l,
+              std::vector<std::size_t>* out)
+      : pkt(std::move(p)), sim(s), live(l), in_use_at_last(out) {}
+  OwnedPacket(OwnedPacket&&) noexcept = default;
+  OwnedPacket(const OwnedPacket&) = delete;
+  OwnedPacket& operator=(const OwnedPacket&) = delete;
+  OwnedPacket& operator=(OwnedPacket&&) = delete;
+  ~OwnedPacket() {
+    if (pkt == nullptr) return;  // moved from
+    pkt.reset();
+    if (live->fetch_sub(1) > 1) return;
+    for (int i = 0; i < sim->shard_count(); ++i) {
+      in_use_at_last->push_back(sim->shard_pool(i).in_use());
+    }
+  }
+  void operator()() const {}
+};
+
+TEST(CalendarQueue, ShardedCutTeardownReturnsEveryPacket) {
+  // Four threaded shards, each calendar holding packets born in every
+  // shard's pool, cut by run_until with ring- and overflow-tier events still
+  // pending.  Teardown must destroy those closures before any pool dies.
+  constexpr int kShards = 4;
+  std::atomic<int> live = 0;
+  std::vector<std::size_t> in_use_at_last;
+  {
+    Simulator sim;
+    sim.configure_shards(kShards, TimeNs{1'000}, ShardExec::kThreads);
+    for (int owner = 0; owner < kShards; ++owner) {
+      for (int born = 0; born < kShards; ++born) {
+        for (int i = 0; i < 12; ++i) {
+          PacketPtr pkt;
+          {
+            const auto scope = sim.scoped(born);
+            pkt = make_packet(sim.packet_pool(), PacketKind::kData, VmPairId{VmId{1}, VmId{2}},
+                              TenantId{0}, HostId{0}, HostId{1}, 1500);
+          }
+          // Fired before the cut, pending in the ring, or pending in overflow.
+          const TimeNs t{i % 3 == 0 ? 10'000 + i : i % 3 == 1 ? 200'000 + i : 900'000 + i};
+          const auto scope = sim.scoped(owner);
+          ++live;
+          sim.at(t, OwnedPacket(std::move(pkt), &sim, &live, &in_use_at_last));
+        }
+      }
+    }
+    sim.run_until(TimeNs{100'000});
+    EXPECT_EQ(sim.pending(), static_cast<std::size_t>(kShards * kShards * 8));
+    for (int s = 0; s < kShards; ++s) EXPECT_EQ(sim.shard_pool(s).in_use(), 32u);
+  }
+  EXPECT_EQ(live.load(), 0);
+  EXPECT_EQ(in_use_at_last, std::vector<std::size_t>(kShards, 0));
 }
 
 }  // namespace
