@@ -478,6 +478,14 @@ doc = {
     "speedup_floor": {"value": float(speedup_floor),
                       "gated": int(cpus_online) >= 4},
 }
+# scripts/install_footprint.py owns this block; keep its before/after runs.
+try:
+    with open(out_path) as f:
+        prev = json.load(f).get("ufab_install_footprint")
+    if prev:
+        doc["ufab_install_footprint"] = prev
+except (OSError, ValueError):
+    pass
 with open(out_path, "w") as f:
     json.dump(doc, f, indent=2, sort_keys=True)
     f.write("\n")

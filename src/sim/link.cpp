@@ -180,7 +180,12 @@ void Link::advance() const {
 }
 
 void Link::fire_head(std::uint64_t epoch) {
-  if (epoch != pipe_epoch_) return;  // head entry dropped or handed over
+  if (epoch != pipe_epoch_) {
+    // A stale head: its entry was dropped, or handed to the legacy
+    // serializer, whose serializer end may have parked the packet here.
+    if (handed_over_ && epoch == handed_over_epoch_) dst_->receive(std::move(handed_over_));
+    return;
+  }
   advance();
   // The head's serialization milestone precedes its delivery by prop_delay
   // > 0, so by the time this event runs it must have been replayed.
@@ -210,16 +215,23 @@ void Link::to_legacy() {
   PipeEntry& head = pipe_[mat_];
   in_flight_ = std::move(head.pkt);
   busy_ = true;
+  // When mat_ == 0 the resident head event points at `head`, and it is
+  // pending at exactly the key legacy gives `head`'s DeliverEvent.  It stays
+  // the delivery: finish_transmit parks the packet for it rather than
+  // scheduling a twin event at the same key.
+  const std::uint64_t head_event = mat_ == 0 ? pipe_epoch_ : kNoHeadEvent;
   {
     // The serializer-end event belongs to the link's shard, whichever shard
     // context (fault-plane setup runs at the root) hands it over.
     const auto scope = sim_.scoped(home_);
     sim_.at_keyed(head.ser_end, head.h, head.k,
-                  [this, bytes = head.bytes, epoch = epoch_] { finish_transmit(bytes, epoch); });
+                  [this, bytes = head.bytes, epoch = epoch_, head_event] {
+                    finish_transmit(bytes, epoch, head_event);
+                  });
   }
   // queue_bytes_ already counts the entries behind the head.
   for (std::size_t i = mat_ + 1; i < pipe_.size(); ++i) queue_.push_back(std::move(pipe_[i].pkt));
-  if (mat_ == 0) ++pipe_epoch_;  // the resident head event pointed at `head`
+  if (mat_ == 0) ++pipe_epoch_;  // the head event now only serves the hand-over
   while (pipe_.size() > mat_) pipe_.pop_back();
   check_pipe_order();
 }
@@ -319,7 +331,7 @@ void Link::start_next() {
              [this, bytes, epoch = epoch_] { finish_transmit(bytes, epoch); });
 }
 
-void Link::finish_transmit(std::int32_t bytes, std::uint64_t epoch) {
+void Link::finish_transmit(std::int32_t bytes, std::uint64_t epoch, std::uint64_t head_event) {
   if (epoch != epoch_) return;  // serialization aborted by set_down
   busy_ = false;
   if (in_flight_) {
@@ -341,6 +353,14 @@ void Link::finish_transmit(std::int32_t bytes, std::uint64_t epoch) {
       // local after() call would have produced (post_cross consumes the same
       // child slot), so the merged schedule is partition-independent.
       sim_.post_cross(cross_shard_dst_, sim_.now() + cfg_.prop_delay, dst_, std::move(pkt));
+    } else if (head_event != kNoHeadEvent) {
+      // Handed over by to_legacy(): the stale head event `head_event` fires
+      // at the key after() would give this delivery.  Park the packet for it
+      // and consume the child slot after() would have taken.
+      static_cast<void>(sim_.alloc_child_key());
+      UFAB_CHECK(!handed_over_);
+      handed_over_ = std::move(pkt);
+      handed_over_epoch_ = head_event;
     } else {
       // Hand the packet to the propagation stage; delivery is a future event
       // that owns the packet (freed with the queue if the run is cut short).

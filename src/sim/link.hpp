@@ -200,12 +200,17 @@ class Link {
   /// serializer: the entry mid-serialization becomes in_flight_ with its
   /// serializer-end event keyed as legacy would have keyed it, and the
   /// entries behind it become queue_.  Entries already past serializer end
-  /// stay in the pipe and drain through the resident head event.
+  /// stay in the pipe and drain through the resident head event; a handed-
+  /// over head is still delivered by that event (handed_over_).
   void to_legacy();
   void check_pipe_order() const;  ///< Debug-only FIFO invariant sweep.
 
   void start_next();
-  void finish_transmit(std::int32_t bytes, std::uint64_t epoch);
+  /// `head_event` names the stale fused head event that delivers this
+  /// packet (a serialization handed over by to_legacy()), or kNoHeadEvent.
+  static constexpr std::uint64_t kNoHeadEvent = ~std::uint64_t{0};
+  void finish_transmit(std::int32_t bytes, std::uint64_t epoch,
+                       std::uint64_t head_event = kNoHeadEvent);
   void record_drop(const Packet& pkt, obs::DropReason reason);
 
   Simulator& sim_;
@@ -235,6 +240,12 @@ class Link {
   /// dropped or handed to the legacy serializer.  Separate from epoch_: a
   /// legacy abort must not strand packets still propagating in the pipe.
   std::uint64_t pipe_epoch_ = 0;
+  /// A handed-over head past its serializer end, waiting for the stale head
+  /// event (epoch handed_over_epoch_) that fires at its legacy delivery key.
+  /// A link is handed over at most once with its head serializing: it then
+  /// stays legacy, so one slot suffices.
+  PacketPtr handed_over_;
+  std::uint64_t handed_over_epoch_ = 0;
   /// The shard whose execution frontier decides which virtual milestones
   /// have fired; captured at the first fused commit.
   Simulator::ShardHandle home_ = nullptr;

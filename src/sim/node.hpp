@@ -47,8 +47,9 @@ class Link;
 /// itself for the next in-flight packet (src/sim/link.cpp).  The packet stays
 /// owned by the link's pipe — not by this event — so an abort (set_down)
 /// destroys dropped packets at legacy-identical times; `epoch` neutralizes a
-/// stale head event after such an abort, or after the head is handed to the
-/// legacy serializer (Link::to_legacy).
+/// stale head event after such an abort.  A head handed to the legacy
+/// serializer (Link::to_legacy) keeps its event: it delivers the packet the
+/// legacy serializer end parks for it, at the key a DeliverEvent would take.
 /// Lives here so the engine profiler can classify it as a delivery dispatch.
 struct FusedLinkDeliver {
   Link* link;

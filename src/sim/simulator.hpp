@@ -570,14 +570,9 @@ class Simulator {
   static HeapEntry slab_key(Shard& s, TimeNs t, std::uint64_t h, std::uint32_t k,
                             UniqueFunction&& fn) {
 #ifndef NDEBUG
-    // One pair is exempt: Link::to_legacy leaves a fused link's neutralized
-    // head event pending at exactly the key its legacy DeliverEvent then
-    // takes.  The head fires as a no-op, so that pair's order cannot matter.
     for (const Bucket* b : {&s.ring[abs_bucket(t) & (kNumBuckets - 1)], &s.overflow}) {
       for (const HeapEntry& o : b->heap) {
-        UFAB_CHECK_MSG((o.at != t || o.h != h || o.k != k) ||
-                       (fn.invokes<DeliverEvent>() && s.slab[o.idx].invokes<FusedLinkDeliver>()),
-                       "two pending events share a key");
+        UFAB_CHECK_MSG(o.at != t || o.h != h || o.k != k, "two pending events share a key");
       }
     }
 #endif

@@ -62,6 +62,13 @@ class WfqScheduler {
   template <typename Sendable>
   std::uint64_t next(Sendable&& sendable) {
     UFAB_PROF_SCOPE(obs::ProfCat::kWfq);
+    // No pending bit anywhere: nothing to evaluate, only DRR bookkeeping.
+    std::size_t pending = 0;
+    for (const Level& L : levels_) pending += L.pending_count;
+    if (pending == 0) {
+      idle_miss();
+      return 0;
+    }
     // The rotation and the fallback below revisit a level up to three times
     // in one pull. A level's scan result cannot change within the pull: the
     // predicate is pure and cursors move only on commit, which returns. So
@@ -93,9 +100,7 @@ class WfqScheduler {
       // Advance the rotation and grant the next level its quantum.
       rr_level_ = (rr_level_ + 1) % kLevels;
       Level& N = levels_[rr_level_];
-      const double level_quantum =
-          static_cast<double>(quantum_) * static_cast<double>(1 << rr_level_);
-      N.deficit = std::min(N.deficit + level_quantum, 2.0 * level_quantum);
+      N.deficit = grant(rr_level_, N.deficit);
     }
     // Work-conserving fallback: never leave the wire idle because every level
     // is deficit-blocked — serve the first sendable entity and let its level
@@ -114,6 +119,9 @@ class WfqScheduler {
 
   [[nodiscard]] int level_of(TenantId tenant) const;
   [[nodiscard]] std::size_t entity_count() const { return entity_count_; }
+  /// DRR state, for tests: a level's deficit and the rotation pointer.
+  [[nodiscard]] double deficit(int level) const { return levels_[level].deficit; }
+  [[nodiscard]] int rotation() const { return rr_level_; }
 
  private:
   struct TenantQueue {
@@ -198,6 +206,31 @@ class WfqScheduler {
       }
     }
     return false;
+  }
+
+  /// `deficit` after the rotation moves onto level `li`: its quantum (which
+  /// doubles per level), capped at two quanta.
+  [[nodiscard]] double grant(int li, double deficit) const {
+    const double level_quantum = static_cast<double>(quantum_) * static_cast<double>(1 << li);
+    return std::min(deficit + level_quantum, 2.0 * level_quantum);
+  }
+
+  /// A pull with no pending bit on any level: the DRR loop would evaluate
+  /// nothing, only step the rotation 16 times (twice round, so it ends where
+  /// it started) and fall through the fallback.  Its net effect, in O(levels):
+  /// each level is granted twice, and each nonempty level forfeits its
+  /// deficit whenever the rotation stands on it.  A nonempty level's last
+  /// event is a forfeit — except the starting level, regranted on the last
+  /// step — and an empty level just takes both grants.
+  void idle_miss() {
+    for (int li = 0; li < kLevels; ++li) {
+      Level& L = levels_[li];
+      if (L.tenants.empty()) {
+        L.deficit = grant(li, grant(li, L.deficit));
+      } else {
+        L.deficit = li == rr_level_ ? grant(li, 0.0) : 0.0;
+      }
+    }
   }
 
   /// Advances the round-robin cursors past the entity `f` that was served.

@@ -259,10 +259,11 @@ struct LinkOutcome {
 /// propagation delay keeps packets on the wire at `mid`, so a mid-stream
 /// attach meets every kind of pipe entry: propagating, serializing, queued.
 template <typename Attach>
-LinkOutcome run_with_attach(TimeNs mid, bool attach_mid_stream, const Attach& attach) {
-  World w(true, 5_us);
+LinkOutcome run_with_attach(TimeNs mid, bool attach_mid_stream, const Attach& attach,
+                            TimeNs prop = 5_us) {
+  World w(true, prop);
   w.link = std::make_unique<Link>(w.sim, LinkId{0}, "l", &w.sink,
-                                  LinkConfig{10_Gbps, 5_us, 6000, -1, 0.95});
+                                  LinkConfig{10_Gbps, prop, 6000, -1, 0.95});
   if (!attach_mid_stream) attach(w);
   for (const std::int32_t bytes : {1500, 1500, 64, 1500, 1500, 1500, 1500}) {
     w.link->enqueue(make_data(bytes));
@@ -295,6 +296,20 @@ TEST(FusedLink, MidStreamPinMatchesPinBeforeTraffic) {
     const LinkOutcome before = run_with_attach(TimeNs{mid}, false, pin);
     const LinkOutcome during = run_with_attach(TimeNs{mid}, true, pin);
     ASSERT_GT(before.drops, 0) << "mid " << mid;
+    EXPECT_EQ(during, before) << "mid " << mid;
+  }
+}
+
+TEST(FusedLink, MidStreamPinWithPropEqualToTxTime) {
+  // With prop_delay equal to an MTU's 1.2 us serialization, the packet after
+  // a handed-over head ends serializing exactly when the head is delivered,
+  // under the same parent event.  The two keys differ only by the child
+  // slot the hand-over consumes for the parked delivery; builds without
+  // NDEBUG check that they never collide.
+  const auto pin = [](World& w) { w.link->pin_legacy(); };
+  for (const std::int64_t mid : {600, 1800}) {
+    const LinkOutcome before = run_with_attach(TimeNs{mid}, false, pin, 1200_ns);
+    const LinkOutcome during = run_with_attach(TimeNs{mid}, true, pin, 1200_ns);
     EXPECT_EQ(during, before) << "mid " << mid;
   }
 }

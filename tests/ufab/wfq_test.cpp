@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/core/rng.hpp"
@@ -111,6 +112,8 @@ class ReferenceWfq {
     return it == tenant_level_.end() ? 0 : it->second;
   }
   [[nodiscard]] std::size_t entity_count() const { return entity_count_; }
+  [[nodiscard]] double deficit(int level) const { return levels_[level].deficit; }
+  [[nodiscard]] int rotation() const { return rr_level_; }
 
  private:
   struct TenantQueue {
@@ -350,6 +353,66 @@ TEST(Wfq, ActivateIgnoresUnknownEntities) {
   EXPECT_EQ(wfq.next([](std::uint64_t) { return 1500; }), 0u);
 }
 
+/// Asserts that both schedulers hold the same DRR rotation and deficits.
+void expect_same_drr(const WfqScheduler& fast, const ReferenceWfq& ref, int pull) {
+  ASSERT_EQ(fast.rotation(), ref.rotation()) << "pull " << pull;
+  for (int li = 0; li < WfqScheduler::kLevels; ++li) {
+    ASSERT_EQ(fast.deficit(li), ref.deficit(li)) << "pull " << pull << " level " << li;
+  }
+}
+
+TEST(Wfq, IdleMissMatchesReferenceRotation) {
+  // Level 0 borrows through the work-conserving fallback (a 9000-byte packet
+  // never fits its 3000-byte deficit cap), then loses its last tenant while
+  // the deficit is still negative, leaving no pending bit anywhere.  All-idle
+  // pulls must regrant it from below zero exactly as the stepped rotation
+  // does, and zero the deficits of nonempty levels except the one the
+  // rotation stands on.
+  WfqScheduler fast(1.0);
+  ReferenceWfq ref(1.0);
+  for (const auto& [tenant, weight] : {std::pair{0, 1.0}, std::pair{1, 8.0}, std::pair{2, 64.0}}) {
+    fast.set_tenant_weight(TenantId{tenant}, weight);
+    ref.set_tenant_weight(TenantId{tenant}, weight);
+  }
+  for (const std::uint64_t e : {1u, 2u, 3u}) {
+    fast.add(TenantId{static_cast<std::int32_t>(e - 1)}, e);
+    ref.add(TenantId{static_cast<std::int32_t>(e - 1)}, e);
+  }
+  bool busy[4] = {false, true, false, false};
+  const auto pred = [&busy](std::uint64_t e) -> std::int32_t {
+    if (!busy[e]) return -1;
+    return e == 1 ? 9000 : 1500;
+  };
+  ASSERT_EQ(fast.next(pred), 1u);  // the scan also parks idle entities 2, 3
+  ASSERT_EQ(ref.next(pred), 1u);
+  expect_same_drr(fast, ref, 0);
+  fast.remove(TenantId{0}, 1);
+  ref.remove(TenantId{0}, 1);
+  busy[1] = false;
+  ASSERT_EQ(fast.deficit(0), -6000.0);
+  int pull = 1;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 20; ++i, ++pull) {
+      ASSERT_EQ(fast.next(pred), 0u);
+      ASSERT_EQ(ref.next(pred), 0u);
+      expect_same_drr(fast, ref, pull);
+      if (round == 0 && i == 0) {
+        EXPECT_EQ(fast.deficit(0), -3000.0);  // regranted twice, still borrowing
+      }
+    }
+    // Served pulls move the rotation before the next idle stretch.  Then
+    // the backlog drains; the stretch's first pull clears the stale bits.
+    busy[2 + round % 2] = true;
+    fast.activate(2);
+    fast.activate(3);
+    for (int i = 0; i < 4 + round; ++i, ++pull) {
+      ASSERT_EQ(fast.next(pred), ref.next(pred)) << "pull " << pull;
+      expect_same_drr(fast, ref, pull);
+    }
+    busy[2] = busy[3] = false;
+  }
+}
+
 /// Shape of one differential script.
 struct DiffShape {
   std::uint64_t seed;
@@ -396,7 +459,22 @@ void run_differential(const DiffShape& shape) {
   std::int64_t fast_evals = 0;
   std::int64_t ref_evals = 0;
   int served = 0;
-  for (int pull = 0; pull < shape.pulls;) {
+  int pull = 0;
+  const auto pred = [&st](std::int64_t& evals) {
+    return [&st, &evals](std::uint64_t ent) -> std::int32_t {
+      ++evals;
+      const State& x = st[ent];
+      EXPECT_TRUE(x.registered);
+      if (!x.backlog) return -1;
+      if (x.blocked) return 0;
+      return x.size;
+    };
+  };
+  const auto pull_both = [&] {
+    const std::uint64_t got = fast.next(pred(fast_evals));
+    return std::pair{got, ref.next(pred(ref_evals))};
+  };
+  while (pull < shape.pulls) {
     const std::uint64_t op = rng.below(100);
     const std::uint64_t e = random_entity();
     State& s = st[e];
@@ -426,20 +504,20 @@ void run_differential(const DiffShape& shape) {
       s.backlog = false;  // work drained elsewhere: needs no call
     } else if (op < 40) {
       s.blocked = !s.blocked;  // admission/pacing change: needs no call
+    } else if (op == 40 && rng.below(4) == 0) {
+      // An all-idle stretch: every backlog drains, and a run of pulls finds
+      // nothing (after the first clears the stale bits, no level has any).
+      for (State& x : st) x.backlog = false;
+      for (std::uint64_t i = 1 + rng.below(40); i > 0; --i) {
+        const auto [got, want] = pull_both();
+        ASSERT_EQ(got, 0u) << "seed " << shape.seed << " pull " << pull;
+        ASSERT_EQ(want, 0u) << "seed " << shape.seed << " pull " << pull;
+        expect_same_drr(fast, ref, pull);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     } else {
       ++pull;
-      const auto pred = [&st](std::int64_t& evals) {
-        return [&st, &evals](std::uint64_t ent) -> std::int32_t {
-          ++evals;
-          const State& x = st[ent];
-          EXPECT_TRUE(x.registered);
-          if (!x.backlog) return -1;
-          if (x.blocked) return 0;
-          return x.size;
-        };
-      };
-      const std::uint64_t got = fast.next(pred(fast_evals));
-      const std::uint64_t want = ref.next(pred(ref_evals));
+      const auto [got, want] = pull_both();
       ASSERT_EQ(got, want) << "seed " << shape.seed << " pull " << pull;
       if (got != 0) {
         ++served;
@@ -447,6 +525,8 @@ void run_differential(const DiffShape& shape) {
         if (rng.below(4) == 0) x.backlog = false;
         x.size = static_cast<std::int32_t>(64 + rng.below(1437));
       }
+      expect_same_drr(fast, ref, pull);
+      if (::testing::Test::HasFatalFailure()) return;
     }
     ASSERT_EQ(fast.entity_count(), ref.entity_count());
   }
