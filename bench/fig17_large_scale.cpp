@@ -12,9 +12,6 @@
 // set UFAB_FIG17_K=4 for a quick 16-host run or UFAB_FIG17_K=16 for 1024
 // hosts.  UFAB_FIG17_ONLY=<scheme>,<oversub>,<load> restricts the sweep to
 // one grid cell (the A/B timing harness in scripts/run_perf.sh uses this).
-// The fig17_legacy_links target builds this file with every link pinned to
-// the legacy two-event serializer: the reference the fused default must match
-// byte for byte.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -72,9 +69,6 @@ Outcome run(Scheme scheme, int oversub, double load, std::uint64_t seed) {
   exp.enable_observability(harness::obs_options_from_env());
   auto& fab = exp.fab();
   auto& vms = fab.vms();
-#ifdef UFAB_FIG17_LEGACY_LINKS
-  for (sim::Link* l : fab.net().links()) l->pin_legacy();
-#endif
 
   // Four tenants, one VM per host each. Guarantees are scaled by the
   // oversubscription factor so the hose guarantees remain theoretically

@@ -229,17 +229,17 @@ BENCHMARK(BM_EpochBarrier)->UseRealTime();
 
 /// Synchronization amortization end to end: a two-shard lookahead-limited
 /// workload (self-rescheduling chains + periodic crossings) run to a fixed
-/// horizon with N lookahead windows per coordinator barrier.  Arg(1) is the
-/// legacy one-barrier-per-window cadence; higher args show the adaptive
-/// engine's win.  Sequential executor so the number isolates epoch overhead
-/// rather than thread scheduling noise.
+/// horizon with N lookahead windows per coordinator barrier.  Arg(1) pays a
+/// barrier per window; higher args show what multi-window epochs save.
+/// Sequential executor so the number isolates epoch overhead rather than
+/// thread scheduling noise.
 void BM_AdaptiveEpoch(benchmark::State& state) {
   const int windows = static_cast<int>(state.range(0));
   std::uint64_t events = 0;
   for (auto _ : state) {
     sim::Simulator sim;
     sim.configure_shards(2, TimeNs{1'000}, sim::ShardExec::kSequential);
-    sim.set_adaptive_epochs(windows > 1, windows);
+    sim.set_adaptive_epochs(true, windows);
     struct Chain {
       sim::Simulator* sim;
       int self;
@@ -358,13 +358,13 @@ void BM_Fig17Slice(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig17Slice)->Unit(benchmark::kMillisecond);
 
-/// One busy link delivering bursts end to end, fused pipeline vs the legacy
-/// two-event serializer (Arg: 1 = fused, 0 = link pinned to legacy).  The
-/// only difference is the serializer itself; the fused path should win on
-/// events scheduled (one calendar entry per busy link instead of two per
-/// packet) and therefore on ns/packet (DESIGN.md §13).
+/// One busy link delivering bursts end to end, in the two shapes the one
+/// link serializer runs (DESIGN.md §13).  Arg 0: a push link (switch egress)
+/// — virtual serializer ends, one calendar event per hop.  Arg 1: a
+/// pull-source link (host NIC) — the source is consulted at each clocked
+/// serializer end, two calendar events per hop.  Items are packet hops.
 void BM_LinkPipelineHop(benchmark::State& state) {
-  const bool fused = state.range(0) != 0;
+  const bool pull = state.range(0) != 0;
   constexpr int kBursts = 64;
   constexpr int kPerBurst = 8;
   for (auto _ : state) {
@@ -372,15 +372,27 @@ void BM_LinkPipelineHop(benchmark::State& state) {
     NullNode sink;
     sim::Link link(sim, LinkId{0}, "l", &sink,
                    sim::LinkConfig{Bandwidth::gbps(10.0), 1_us, 1 << 20, -1, 0.95});
-    if (!fused) link.pin_legacy();
     auto& pool = sim.packet_pool();
+    const auto make = [&pool] {
+      return sim::make_packet(pool, sim::PacketKind::kData, VmPairId{VmId{1}, VmId{2}},
+                              TenantId{0}, HostId{0}, HostId{1}, 1500);
+    };
+    int budget = 0;  // packets the pull source still has to give
+    if (pull) {
+      link.set_source([&budget, &make]() -> sim::PacketPtr {
+        if (budget == 0) return nullptr;
+        --budget;
+        return make();
+      });
+    }
     for (int b = 0; b < kBursts; ++b) {
-      sim.at(TimeNs{1 + b * 15'000}, [&link, &pool] {
-        for (int i = 0; i < kPerBurst; ++i) {
-          link.enqueue(sim::make_packet(pool, sim::PacketKind::kData,
-                                        VmPairId{VmId{1}, VmId{2}}, TenantId{0}, HostId{0},
-                                        HostId{1}, 1500));
+      sim.at(TimeNs{1 + b * 15'000}, [&link, &budget, &make, pull] {
+        if (pull) {
+          budget = kPerBurst;
+          link.kick();
+          return;
         }
+        for (int i = 0; i < kPerBurst; ++i) link.enqueue(make());
       });
     }
     sim.run();

@@ -88,10 +88,10 @@ def report(path, doc):
              events_total / (wall_ns / 1e9) if wall_ns > 0 else 0.0,
              wall_ns / events_total if events_total > 0 else 0.0))
     print("epochs=%d windows=%d barrier_skips=%d crossings_injected=%d "
-          "adaptive=%s epoch_windows=%d"
+          "epoch_windows=%d"
           % (epochs.get("count", 0), epochs.get("windows", 0),
              epochs.get("barrier_skips", 0), epochs.get("crossings_injected", 0),
-             doc.get("adaptive_epochs", False), doc.get("epoch_windows", 1)))
+             doc.get("epoch_windows", 1)))
     handoff = doc.get("handoff", {})
     if handoff:
         print("handoff: max_drain_batch=%d mailbox_flushes=%d"
@@ -101,7 +101,7 @@ def report(path, doc):
              derived.get("shard_imbalance", 1.0)))
 
     # Epoch-length distribution: simulated time amortized per barrier.  A
-    # healthy adaptive run piles up in buckets well above the lookahead.
+    # healthy multi-window run piles up in buckets well above the lookahead.
     epoch_hist = doc.get("epoch_len_ns_log2", [])
     if any(epoch_hist):
         total = sum(epoch_hist)
@@ -188,7 +188,6 @@ def main(argv):
             "windows": epochs.get("windows", 0),
             "barrier_skips": epochs.get("barrier_skips", 0),
             "crossings_injected": epochs.get("crossings_injected", 0),
-            "adaptive_epochs": doc.get("adaptive_epochs", False),
             "epoch_windows": doc.get("epoch_windows", 1),
             "handoff_max_batch": doc.get("handoff", {}).get("max_drain_batch", 0),
         }))

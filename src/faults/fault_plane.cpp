@@ -118,12 +118,12 @@ bool FaultPlane::matches(LossClass klass, const sim::Packet& pkt) {
 
 void FaultPlane::arm_flap(const FlapSpec& spec) {
   sim::Link* link = fab_.net().link(spec.link);
-  // A flapped link must use the legacy serializer: a fused *cut* link posts
+  // A flapped link clocks its serializer ends: a virtual *cut* link posts
   // its cross-shard crossing when serialization starts, and a later
-  // set_down(true) could not recall it.  The pin is applied on every
-  // partition (the flap schedule is partition-invariant), so per-hop event
-  // counts stay byte-identical across shard counts.
-  link->pin_legacy();
+  // set_down(true) could not recall it.  The mark applies on every partition
+  // (the flap schedule is partition-invariant), so per-hop event counts stay
+  // byte-identical across shard counts.
+  link->mark_flapped();
   for (int k = 0; k < spec.repeats; ++k) {
     const TimeNs shift = spec.period * k;
     fab_.sim().at(spec.down_at + shift, [this, link] {

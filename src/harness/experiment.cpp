@@ -44,21 +44,12 @@ Experiment::Experiment(Scheme scheme, const TopoFn& topo_fn, topo::FabricOptions
     }
     fab_->configure_sharding(std::max(1, std::atoi(v)), exec);
   }
-  // UFAB_ADAPTIVE_EPOCHS=0 pins the engine to one barrier per lookahead
-  // window (the legacy cadence — A/B and determinism baselines);
-  // UFAB_EPOCH_WINDOWS=<n> sets how many lookahead windows each adaptive
-  // epoch amortizes over one barrier (default 16).  Both are schedule-neutral
-  // knobs: results are byte-identical either way (DESIGN.md §12).
-  {
-    bool adaptive = true;
-    if (const char* v = std::getenv("UFAB_ADAPTIVE_EPOCHS"); v != nullptr && v[0] == '0') {
-      adaptive = false;
-    }
-    int windows = 16;
-    if (const char* v = std::getenv("UFAB_EPOCH_WINDOWS"); v != nullptr && v[0] != '\0') {
-      windows = std::max(1, std::atoi(v));
-    }
-    fab_->sim().set_adaptive_epochs(adaptive, windows);
+  // UFAB_EPOCH_WINDOWS=<n> sets how many lookahead windows each epoch
+  // amortizes over one barrier (default 16; 1 = a barrier per window).
+  // Schedule-neutral: results are byte-identical for every width
+  // (DESIGN.md §12).
+  if (const char* v = std::getenv("UFAB_EPOCH_WINDOWS"); v != nullptr && v[0] != '\0') {
+    fab_->sim().set_adaptive_epochs(true, std::max(1, std::atoi(v)));
   }
   // UFAB_PROF attaches the engine self-profiling plane (level 1 = loop
   // attribution, 2 = + per-call scopes).  Passive: the schedule and every

@@ -14,12 +14,15 @@ namespace {
 constexpr TimeNs kMaxRateWindow{200'000};  // 200 us
 }  // namespace
 
-void FusedLinkDeliver::operator()() { link->fire_head(epoch); }
+void FusedLinkDeliver::operator()() { link->fire_head(h, k); }
 
 Link::Link(Simulator& sim, LinkId id, std::string name, Node* dst, LinkConfig cfg)
     : sim_(sim), id_(id), name_(std::move(name)), dst_(dst), cfg_(cfg) {
   UFAB_CHECK(dst_ != nullptr);
   UFAB_CHECK(cfg_.capacity.bits_per_sec() > 0.0);
+  // A delivery must follow its serializer end strictly: the head event finds
+  // its entry materialized, and a cut link's crossing clears the lookahead.
+  UFAB_CHECK_MSG(cfg_.prop_delay > TimeNs::zero(), "link propagation delay must be positive");
 }
 
 void Link::record_drop(const Packet& pkt, obs::DropReason reason) {
@@ -69,39 +72,36 @@ void Link::enqueue(PacketPtr pkt) {
     record_drop(*pkt, obs::DropReason::kLinkDown);
     return;
   }
-  if (use_fused()) {
-    enqueue_fused(std::move(pkt));
-    return;
-  }
-  if (!admit(*pkt)) return;
-  queue_bytes_ += pkt->size_bytes;
-  max_queue_bytes_ = std::max(max_queue_bytes_, queue_bytes_);
-  queue_.push_back(std::move(pkt));
-  if (!busy_) start_next();
-}
-
-void Link::enqueue_fused(PacketPtr pkt) {
-  // Catch everything the legacy engine would already have done by now, so the
-  // admission checks below see exactly the state legacy enqueue() would.
+  // Catch up on every milestone that has passed, so the admission checks see
+  // the queue as it stands at this instant.
   advance();
-  UFAB_CHECK(!busy_ && !in_flight_);  // legacy serializer must never be active
-  if (home_ == nullptr) home_ = sim_.active_shard_handle();
-  UFAB_CHECK_MSG(home_ == sim_.active_shard_handle(),
-                 "fused link committed from a foreign shard");
   if (!admit(*pkt)) return;
 
   const std::int32_t bytes = pkt->size_bytes;
-  // Commit the packet's serialization interval eagerly.  Idle serializer:
-  // it starts now, and its virtual serializer-end event consumes the exact
-  // child-key slot legacy start_next()'s after() call would have.  Busy:
-  // it starts when its predecessor's serialization ends, and its virtual
-  // event is the predecessor event's second child (the first child is the
-  // predecessor's own delivery) — the slot legacy's chained start_next()
-  // would have consumed.
   const bool idle = (mat_ == pipe_.size());
   PipeEntry e;
   e.bytes = bytes;
   e.in_queue = !idle;
+  // max_queue_bytes_ observes the packet even on an idle link (it passes
+  // through the queue on its way to the wire); queue_bytes_ itself only
+  // grows when the packet actually waits.
+  max_queue_bytes_ = std::max(max_queue_bytes_, queue_bytes_ + bytes);
+  if (!idle) queue_bytes_ += bytes;
+
+  if (clocked_) {
+    e.pkt = std::move(pkt);
+    pipe_.push_back(std::move(e));
+    if (idle) start_serializing(pipe_[mat_]);
+    return;
+  }
+
+  if (home_ == nullptr) home_ = sim_.active_shard_handle();
+  UFAB_CHECK_MSG(home_ == sim_.active_shard_handle(),
+                 "virtual link committed from a foreign shard");
+  // Commit the serializer-end milestone eagerly, under the key the clocked
+  // path would give it.  Idle serializer: it starts now, as this context's
+  // next child.  Busy: it starts when its predecessor's milestone passes, as
+  // that milestone's second child (the first is the predecessor's delivery).
   if (idle) {
     const Simulator::ChildKey key = sim_.alloc_child_key();
     e.h = key.h;
@@ -113,53 +113,41 @@ void Link::enqueue_fused(PacketPtr pkt) {
     e.k = 1;
     e.ser_end = prev.ser_end + cfg_.capacity.tx_time(bytes);
   }
-  // Legacy enqueue() adds the packet to the queue before start_next() pulls
-  // it back out, so max_queue_bytes_ observes the transient even on an idle
-  // link; queue_bytes_ itself only grows when the packet actually waits.
-  max_queue_bytes_ = std::max(max_queue_bytes_, queue_bytes_ + bytes);
-  if (!idle) queue_bytes_ += bytes;
-
-  // The delivery at the peer is the virtual serializer-end event's first
-  // child: raw key (event_identity(h, k), 0), byte-identical to the key the
-  // legacy DeliverEvent / crossing would carry.
-  const std::uint64_t id_f = Simulator::event_identity(e.h, e.k);
-  const TimeNs deliver_at = e.ser_end + cfg_.prop_delay;
   if (cross_shard_dst_ >= 0) {
-    // Cut link: post the crossing eagerly so the hop still costs one event
-    // on every partition (event counts are compared bit-exactly across shard
-    // counts).  The crossing's arrival is >= the first epoch boundary after
-    // this commit (prop_delay >= lookahead for cut links), so posting early
-    // never outruns the conservative window protocol.
-    sim_.post_cross_keyed(cross_shard_dst_, deliver_at, dst_, std::move(pkt), id_f, 0);
+    // Cut link: post the crossing eagerly under the delivery key, so the hop
+    // still costs one event on every partition (event counts are compared
+    // bit-exactly across shard counts).  It arrives at least tx + prop after
+    // this commit (prop >= lookahead on cut links), so posting early never
+    // outruns the conservative window protocol.
+    sim_.post_cross_keyed(cross_shard_dst_, e.ser_end + cfg_.prop_delay, dst_, std::move(pkt),
+                          Simulator::event_identity(e.h, e.k), 0);
     pipe_.push_back(std::move(e));
   } else {
     e.pkt = std::move(pkt);
     pipe_.push_back(std::move(e));
-    if (pipe_.size() == 1) {
-      // Head of an idle pipe: arm the single resident calendar event.
-      sim_.at_keyed(deliver_at, id_f, 0, FusedLinkDeliver{this, pipe_epoch_});
-    }
+    arm_head();
   }
   check_pipe_order();
 }
 
+void Link::count_departure(std::int32_t bytes, TimeNs at) const {
+  tx_bytes_cum_ += bytes;
+  checkpoints_.push_back({at, tx_bytes_cum_});
+  while (checkpoints_.size() > 2 && at - checkpoints_.front().first > kMaxRateWindow) {
+    checkpoints_.pop_front();
+  }
+}
+
 void Link::advance() const {
-  // Replay, in order, every virtual serializer-end milestone whose (time,
-  // key) the executing shard has passed — i.e. every milestone the legacy
-  // engine would already have run as a real calendar event.  Each replay
-  // performs exactly the state updates legacy finish_transmit()/start_next()
-  // performed at that instant: cumulative TX bytes, a rate checkpoint
-  // (trimmed with the milestone's own timestamp as "now"), and the
-  // successor's dequeue.
+  if (clocked_) return;
+  // Replay, in order, every virtual milestone whose (time, key) the link's
+  // shard has passed.  Each replay performs exactly what a clocked serializer
+  // end does at that instant: cumulative TX bytes, a rate checkpoint, and
+  // the successor's dequeue.
   while (mat_ < pipe_.size()) {
     const PipeEntry& e = pipe_[mat_];
     if (!sim_.key_fired(home_, e.ser_end, e.h, e.k)) break;
-    tx_bytes_cum_ += e.bytes;
-    checkpoints_.push_back({e.ser_end, tx_bytes_cum_});
-    while (checkpoints_.size() > 2 &&
-           e.ser_end - checkpoints_.front().first > kMaxRateWindow) {
-      checkpoints_.pop_front();
-    }
+    count_departure(e.bytes, e.ser_end);
     if (mat_ + 1 < pipe_.size()) {
       PipeEntry& next = pipe_[mat_ + 1];
       if (next.in_queue) {
@@ -179,195 +167,162 @@ void Link::advance() const {
   }
 }
 
-void Link::fire_head(std::uint64_t epoch) {
-  if (epoch != pipe_epoch_) {
-    // A stale head: its entry was dropped, or handed to the legacy
-    // serializer, whose serializer end may have parked the packet here.
-    if (handed_over_ && epoch == handed_over_epoch_) dst_->receive(std::move(handed_over_));
-    return;
-  }
+void Link::arm_head() {
+  if (head_armed_ || pipe_.empty() || (clocked_ && mat_ == 0)) return;
+  const PipeEntry& front = pipe_.front();
+  sim_.at_keyed(front.ser_end + cfg_.prop_delay, Simulator::event_identity(front.h, front.k), 0,
+                FusedLinkDeliver{this, front.h, front.k});
+  head_armed_ = true;
+}
+
+void Link::fire_head(std::uint64_t h, std::uint32_t k) {
+  // A stale head: its entry was dropped (set_down, or lost on the wire after
+  // a mid-run switch to clocked serializer ends).
+  if (pipe_.empty() || pipe_.front().h != h || pipe_.front().k != k) return;
   advance();
-  // The head's serialization milestone precedes its delivery by prop_delay
-  // > 0, so by the time this event runs it must have been replayed.
+  // The head's serializer end precedes its delivery by prop_delay > 0, so by
+  // now it has passed.
   UFAB_CHECK(mat_ > 0);
   PipeEntry head = std::move(pipe_.front());
   pipe_.pop_front();
   --mat_;
   UFAB_CHECK(head.pkt != nullptr);
-  if (!pipe_.empty()) {
-    // Re-arm for the next in-flight packet before delivering: receive() can
-    // re-enter this link, and the pipe must look consistent when it does.
-    const PipeEntry& next = pipe_.front();
-    sim_.at_keyed(next.ser_end + cfg_.prop_delay,
-                  Simulator::event_identity(next.h, next.k), 0,
-                  FusedLinkDeliver{this, pipe_epoch_});
-  }
+  // Re-arm for the next packet before delivering: receive() can re-enter
+  // this link, and the pipe must look consistent when it does.
+  head_armed_ = false;
+  arm_head();
   check_pipe_order();
   dst_->receive(std::move(head.pkt));
 }
 
-void Link::to_legacy() {
+void Link::start_next() {
+  if (mat_ == pipe_.size()) {
+    if (!source_) return;
+    // Claim the wire before running the pull callback: source_() can
+    // re-enter enqueue() on this link (the transport's probe cadence fires
+    // while the NIC asks for the next data packet), and that packet must
+    // queue behind the pulled one.
+    pipe_.push_back(PipeEntry{});
+    PacketPtr pkt = source_();
+    if (pkt) {
+      pipe_[mat_].bytes = pkt->size_bytes;
+      pipe_[mat_].pkt = std::move(pkt);
+    } else {
+      erase_entry(mat_);
+      // A re-entrant enqueue may have queued a packet; serialize it now
+      // rather than leave it stranded until the next kick.
+      if (mat_ == pipe_.size()) return;
+    }
+  }
+  start_serializing(pipe_[mat_]);
+}
+
+void Link::start_serializing(PipeEntry& e) {
+  if (e.in_queue) {
+    e.in_queue = false;
+    queue_bytes_ -= e.bytes;
+  }
+  const Simulator::ChildKey key = sim_.alloc_child_key();
+  e.h = key.h;
+  e.k = key.k;
+  e.ser_end = sim_.now() + cfg_.capacity.tx_time(e.bytes);
+  sim_.at_keyed(e.ser_end, e.h, e.k, [this, h = e.h, k = e.k] { end_serializing(h, k); });
+}
+
+void Link::end_serializing(std::uint64_t h, std::uint32_t k) {
+  // A stale serializer end: set_down dropped its entry.
+  if (mat_ == pipe_.size() || pipe_[mat_].h != h || pipe_[mat_].k != k) return;
+  PipeEntry& e = pipe_[mat_];
+  count_departure(e.bytes, sim_.now());
+  PacketPtr lost;
+  if (fault_filter_ && fault_filter_(*e.pkt)) {
+    // Lost on the wire (fault injection): link time was consumed but the
+    // packet never reaches the peer, and its delivery slot stays unused.
+    ++fault_drops_;
+    record_drop(*e.pkt, obs::DropReason::kWireFault);
+    lost = std::move(e.pkt);
+    if (mat_ == 0) head_armed_ = false;  // a head armed before a mid-run switch goes stale
+    erase_entry(mat_);
+  } else if (cross_shard_dst_ >= 0) {
+    // The peer lives on another engine shard: the crossing takes the
+    // delivery's child slot, so the merged schedule is partition-independent.
+    UFAB_CHECK(mat_ == 0);
+    sim_.post_cross(cross_shard_dst_, sim_.now() + cfg_.prop_delay, dst_, std::move(e.pkt));
+    pipe_.pop_front();
+  } else {
+    // The delivery rides the resident head event under this event's first
+    // child key.
+    static_cast<void>(sim_.alloc_child_key());
+    ++mat_;
+    arm_head();
+  }
+  lost.reset();  // freed before the next pull, which may allocate
+  if (!down_) start_next();
+}
+
+void Link::erase_entry(std::size_t i) {
+  for (; i + 1 < pipe_.size(); ++i) pipe_[i] = std::move(pipe_[i + 1]);
+  pipe_.pop_back();
+}
+
+void Link::to_clocked() {
+  if (clocked_) return;
   advance();
+  clocked_ = true;
   if (mat_ == pipe_.size()) return;  // nothing left to serialize
   UFAB_CHECK_MSG(cross_shard_dst_ < 0,
-                 "fused cut link handed to the legacy serializer mid-run: its "
+                 "virtual cut link switched to clocked serializer ends mid-run: its "
                  "crossings were posted at commit time and cannot be recalled");
-  PipeEntry& head = pipe_[mat_];
-  in_flight_ = std::move(head.pkt);
-  busy_ = true;
-  // When mat_ == 0 the resident head event points at `head`, and it is
-  // pending at exactly the key legacy gives `head`'s DeliverEvent.  It stays
-  // the delivery: finish_transmit parks the packet for it rather than
-  // scheduling a twin event at the same key.
-  const std::uint64_t head_event = mat_ == 0 ? pipe_epoch_ : kNoHeadEvent;
-  {
-    // The serializer-end event belongs to the link's shard, whichever shard
-    // context (fault-plane setup runs at the root) hands it over.
-    const auto scope = sim_.scoped(home_);
-    sim_.at_keyed(head.ser_end, head.h, head.k,
-                  [this, bytes = head.bytes, epoch = epoch_, head_event] {
-                    finish_transmit(bytes, epoch, head_event);
-                  });
-  }
-  // queue_bytes_ already counts the entries behind the head.
-  for (std::size_t i = mat_ + 1; i < pipe_.size(); ++i) queue_.push_back(std::move(pipe_[i].pkt));
-  if (mat_ == 0) ++pipe_epoch_;  // the head event now only serves the hand-over
-  while (pipe_.size() > mat_) pipe_.pop_back();
-  check_pipe_order();
+  // The serializer-end event belongs to the link's shard, whichever shard
+  // context (fault-plane setup runs at the root) makes the switch.
+  const PipeEntry& e = pipe_[mat_];
+  const auto scope = sim_.scoped(home_);
+  sim_.at_keyed(e.ser_end, e.h, e.k, [this, h = e.h, k = e.k] { end_serializing(h, k); });
 }
 
 void Link::check_pipe_order() const {
 #ifndef NDEBUG
-  // The fused pipe must be a FIFO in serialization time: entries are
-  // committed in arrival order and ser_end is nondecreasing front to back.
-  // A violation would mean the fused engine could deliver out of order.
-  for (std::size_t i = 1; i < pipe_.size(); ++i) {
-    UFAB_CHECK_MSG(!(pipe_[i].ser_end < pipe_[i - 1].ser_end),
-                   "fused link pipe reordered");
+  // The pipe must be a FIFO in serialization time: entries are committed in
+  // arrival order and ser_end is nondecreasing front to back (on a clocked
+  // link, up to the serializing entry; the queued ones have no ser_end yet).
+  const std::size_t n = clocked_ ? std::min(pipe_.size(), mat_ + 1) : pipe_.size();
+  for (std::size_t i = 1; i < n; ++i) {
+    UFAB_CHECK_MSG(!(pipe_[i].ser_end < pipe_[i - 1].ser_end), "link pipe reordered");
   }
   UFAB_CHECK(mat_ <= pipe_.size());
 #endif
 }
 
 void Link::kick() {
-  if (!busy_ && !down_) start_next();
+  if (!down_ && mat_ == pipe_.size()) start_next();
 }
 
 void Link::set_down(bool down) {
   if (down_ == down) return;
   down_ = down;
-  if (down_) {
-    advance();
-    drops_ += static_cast<std::int64_t>(queue_.size());
-    queue_.clear();
-    if (mat_ < pipe_.size()) {
-      // Drop the fused entries that are not yet on the wire: in legacy terms
-      // the suffix [mat_+1, size) is the queue and entry mat_ is in flight.
-      // Packets already past their serializer-end (entries [0, mat_)) are
-      // propagating and still deliver, exactly like legacy DeliverEvents.
-      UFAB_CHECK_MSG(cross_shard_dst_ < 0,
-                     "set_down on a fused cut link: its crossings were posted "
-                     "at commit time and cannot be recalled — pin_legacy() "
-                     "flapped cut links");
-      const std::size_t sz = pipe_.size();
-      drops_ += static_cast<std::int64_t>(sz - mat_);
-      // Destroy in legacy order: queued packets front to back, then the
-      // in-flight one (packet-pool free order feeds later allocations).
-      for (std::size_t i = mat_ + 1; i < sz; ++i) pipe_[i].pkt.reset();
-      pipe_[mat_].pkt.reset();
-      while (pipe_.size() > mat_) pipe_.pop_back();
-      if (mat_ == 0) {
-        // The resident head event pointed at a dropped entry; neutralize it.
-        ++pipe_epoch_;
-      }
-      check_pipe_order();
-    }
-    queue_bytes_ = 0;
-    if (in_flight_) {
-      // Abort the in-flight serialization: drop the packet, free the
-      // serializer, and bump the epoch so the already-scheduled completion
-      // event becomes a no-op. Leaving busy_ set here would make kick()
-      // after a fast re-enable a no-op until the stale event fired.
-      in_flight_.reset();
-      ++drops_;
-      ++epoch_;
-      busy_ = false;
-    }
-  } else {
+  if (!down_) {
     kick();
+    return;
   }
-}
-
-void Link::start_next() {
-  UFAB_CHECK(!busy_);
-  // Claim the serializer before running the pull callback: source_() can
-  // re-enter enqueue() on this same link (e.g. the transport's probe cadence
-  // fires while the NIC asks for the next data packet), and a nested
-  // start_next() would put that packet in flight only for the assignment
-  // below to overwrite — and silently destroy — it.
-  busy_ = true;
-  PacketPtr pkt;
-  if (!queue_.empty()) {
-    pkt = std::move(queue_.front());
-    queue_.pop_front();
-    queue_bytes_ -= pkt->size_bytes;
-  } else if (source_) {
-    pkt = source_();
-    if (!pkt && !queue_.empty()) {
-      // A re-entrant enqueue during the pull queued a packet; serialize it
-      // now rather than leaving it stranded until the next kick.
-      pkt = std::move(queue_.front());
-      queue_.pop_front();
-      queue_bytes_ -= pkt->size_bytes;
-    }
+  advance();
+  if (mat_ < pipe_.size()) {
+    // Drop the entries not yet past their serializer end: the suffix
+    // [mat_+1, size) is queued and entry mat_ is serializing.  Entries
+    // [0, mat_) are propagating and still deliver.
+    UFAB_CHECK_MSG(clocked_ || cross_shard_dst_ < 0,
+                   "set_down on a virtual cut link: its crossings were posted at "
+                   "commit time and cannot be recalled — mark_flapped() it");
+    const std::size_t sz = pipe_.size();
+    drops_ += static_cast<std::int64_t>(sz - mat_);
+    // Free queued packets front to back, then the serializing one (packet-
+    // pool free order feeds later allocations).
+    for (std::size_t i = mat_ + 1; i < sz; ++i) pipe_[i].pkt.reset();
+    pipe_[mat_].pkt.reset();
+    while (pipe_.size() > mat_) pipe_.pop_back();
+    if (mat_ == 0) head_armed_ = false;  // it targeted a dropped entry
+    check_pipe_order();
   }
-  if (!pkt) {
-    busy_ = false;
-    return;  // idle
-  }
-  const std::int32_t bytes = pkt->size_bytes;
-  in_flight_ = std::move(pkt);
-  sim_.after(cfg_.capacity.tx_time(bytes),
-             [this, bytes, epoch = epoch_] { finish_transmit(bytes, epoch); });
-}
-
-void Link::finish_transmit(std::int32_t bytes, std::uint64_t epoch, std::uint64_t head_event) {
-  if (epoch != epoch_) return;  // serialization aborted by set_down
-  busy_ = false;
-  if (in_flight_) {
-    tx_bytes_cum_ += bytes;
-    checkpoints_.push_back({sim_.now(), tx_bytes_cum_});
-    while (checkpoints_.size() > 2 &&
-           sim_.now() - checkpoints_.front().first > kMaxRateWindow) {
-      checkpoints_.pop_front();
-    }
-    PacketPtr pkt = std::move(in_flight_);
-    if (fault_filter_ && fault_filter_(*pkt)) {
-      // Lost on the wire (fault injection): link time was consumed but the
-      // packet never reaches the peer.
-      ++fault_drops_;
-      record_drop(*pkt, obs::DropReason::kWireFault);
-    } else if (cross_shard_dst_ >= 0) {
-      // The peer lives on another engine shard: hand the packet to the
-      // cross-shard mailbox with the exact arrival time and ordering key the
-      // local after() call would have produced (post_cross consumes the same
-      // child slot), so the merged schedule is partition-independent.
-      sim_.post_cross(cross_shard_dst_, sim_.now() + cfg_.prop_delay, dst_, std::move(pkt));
-    } else if (head_event != kNoHeadEvent) {
-      // Handed over by to_legacy(): the stale head event `head_event` fires
-      // at the key after() would give this delivery.  Park the packet for it
-      // and consume the child slot after() would have taken.
-      static_cast<void>(sim_.alloc_child_key());
-      UFAB_CHECK(!handed_over_);
-      handed_over_ = std::move(pkt);
-      handed_over_epoch_ = head_event;
-    } else {
-      // Hand the packet to the propagation stage; delivery is a future event
-      // that owns the packet (freed with the queue if the run is cut short).
-      sim_.after(cfg_.prop_delay, DeliverEvent{dst_, std::move(pkt)});
-    }
-  }
-  if (!down_) start_next();
+  queue_bytes_ = 0;
 }
 
 Bandwidth Link::tx_rate(TimeNs window) const {

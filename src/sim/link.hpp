@@ -10,25 +10,24 @@
 // bytes (for sender-side rate differentiation, as in HPCC), a short-window
 // rate estimate, instantaneous queue depth, and ECN marking.
 //
-// Two serializer implementations share that contract (DESIGN.md §13):
+// One serializer (DESIGN.md §13): the link keeps an in-order FIFO of the
+// packets it has accepted (`pipe_`) — propagating, serializing and queued —
+// and the calendar holds only the *head* delivery, one resident event per
+// busy link.  Each entry carries the raw (h, k) ordering key of its
+// serializer-end milestone, and its delivery fires under that milestone's
+// first child key, so schedules, telemetry and shard handoffs are fixed by
+// the causal tree alone.  A serializer end is one of two kinds:
 //
-//  * Fused pipeline (every push link by default): the link keeps an in-order
-//    FIFO of in-flight packets (`pipe_`) and the calendar holds only the
-//    *head* departure — one resident event per busy link instead of one per
-//    packet.  Serialization milestones become virtual: each pipe entry
-//    carries the raw (h, k) ordering key its legacy serializer-end event
-//    would have used, and bookkeeping (cumulative TX, rate checkpoints,
-//    queue accounting) replays lazily, exactly when the engine's key_fired()
-//    predicate says the legacy event would already have run.  Delivery
-//    events reuse the byte-identical legacy keys, so schedules, telemetry,
-//    and shard handoffs are indistinguishable from the two-event engine.
+//  * Virtual (push links, the default): the key is committed at enqueue and
+//    the milestone's bookkeeping (cumulative TX, rate checkpoints, queue
+//    accounting) replays lazily, exactly when the engine's key_fired()
+//    predicate says it has passed.  A cut link posts its crossing eagerly.
 //
-//  * Legacy two-event path: every packet hop schedules a serializer-end
-//    closure plus a DeliverEvent one propagation delay later.  Only links
-//    that need it use it — pull-source (host NIC) links, links with
-//    wire-loss fault filters, links pinned by the fault plane, and links
-//    with zero propagation delay — and it stays the reference the fused
-//    pipeline is tested against (pin_legacy()).
+//  * Clocked: the milestone is a real calendar event, because something must
+//    happen exactly when the wire goes idle — the pull source is consulted
+//    (host NICs), the wire-loss filter draws, or a flap may abort the
+//    serialization before a cut link posts its crossing.  The event takes the
+//    delivery's child slot, then starts the next packet under the next one.
 #pragma once
 
 #include <cstdint>
@@ -73,21 +72,22 @@ class Link {
   void enqueue(PacketPtr pkt);
 
   /// Registers a pull source consulted when the queue is empty and the wire
-  /// is idle (host NIC mode).  Pull links always use the legacy serializer
-  /// (the source callback must run exactly when the wire goes idle).
+  /// is idle (host NIC mode).  Pull links clock their serializer ends: the
+  /// source must run exactly when the wire goes idle.
   void set_source(PullSource source) {
-    UFAB_CHECK_MSG(pipe_.empty(), "set_source on a link with fused traffic");
+    UFAB_CHECK_MSG(pipe_.empty(), "set_source on a link with traffic");
     source_ = std::move(source);
+    clocked_ = true;
   }
 
   /// Re-evaluates transmission; call after the pull source gains work.
   void kick();
 
   /// Administratively disables the link (failure injection); queued and
-  /// in-flight packets are dropped, future packets are dropped on arrival.
-  /// Re-enabling takes effect immediately: the serializer is freed and any
-  /// stale completion event is neutralized, so a rapid down->up flap does
-  /// not leave the link wedged until the old event fires.
+  /// serializing packets are dropped, future packets are dropped on arrival,
+  /// and packets already on the wire still deliver.  Re-enabling takes
+  /// effect immediately: a stale serializer-end or head event finds its
+  /// entry gone and does nothing, so a rapid down->up flap cannot wedge it.
   void set_down(bool down);
   [[nodiscard]] bool down() const { return down_; }
 
@@ -95,28 +95,21 @@ class Link {
 
   /// Wire-loss fault hook (fault injection): consulted when a packet finishes
   /// serializing; returning true discards it instead of delivering (the
-  /// packet still consumed link time, like corruption on the wire).  A
-  /// filtered link uses the legacy serializer: the filter's RNG draws must
-  /// happen at wire-exit time in event order.  May be attached mid-run: the
-  /// link's fused traffic is handed over first (to_legacy()).
+  /// packet still consumed link time, like corruption on the wire).  The
+  /// filter's RNG draws must happen at wire exit in event order, so the link
+  /// clocks its serializer ends from here on.  May be attached mid-run.
   void set_fault_filter(FaultFilter filter) {
-    to_legacy();
+    to_clocked();
     fault_filter_ = std::move(filter);
   }
   [[nodiscard]] std::int64_t fault_drops() const { return fault_drops_; }
 
-  /// Pins this link to the legacy two-event serializer.  The fault plane
-  /// pins every link it will flap: a fused *cut* link posts its cross-shard
-  /// crossing at commit time, which cannot be recalled by a later
-  /// set_down — and the pin must be partition-invariant (the fault schedule
-  /// is), so event counts stay byte-identical across shard counts.  Tests
-  /// and benches pin links to compare the fused pipeline against this
-  /// reference.  May be called mid-run (to_legacy()).
-  void pin_legacy() {
-    to_legacy();
-    pinned_legacy_ = true;
-  }
-  [[nodiscard]] bool pinned_legacy() const { return pinned_legacy_; }
+  /// Marks a link the fault plane will flap.  A virtual cut link posts its
+  /// crossing at commit time, which a later set_down could not recall, so a
+  /// flapped link clocks its serializer ends — on every partition, because
+  /// the flap schedule is partition-invariant and event counts must be too.
+  /// May be called mid-run.
+  void mark_flapped() { to_clocked(); }
 
   // --- telemetry / observability ---
   [[nodiscard]] LinkId id() const { return id_; }
@@ -147,8 +140,8 @@ class Link {
     max_queue_bytes_ = queue_bytes_;
   }
 
-  /// In-flight packets on the fused pipeline (0 on the legacy path) — the
-  /// calendar holds at most one event for all of them (tests).
+  /// Packets in the pipe (propagating, serializing or queued) — the calendar
+  /// holds at most one delivery event for all of them (tests).
   [[nodiscard]] std::size_t pipe_depth() const { return pipe_.size(); }
 
   /// Attaches the observability context (null detaches). Passive: recording
@@ -159,7 +152,7 @@ class Link {
   /// `shard`'s mailbox instead of scheduled locally (sharded engine only;
   /// -1 restores local delivery).  Set by Fabric::configure_sharding.
   void set_cross_shard_dst(int shard) {
-    UFAB_CHECK_MSG(pipe_.empty(), "set_cross_shard_dst on a link with fused traffic");
+    UFAB_CHECK_MSG(pipe_.empty(), "set_cross_shard_dst on a link with traffic");
     cross_shard_dst_ = shard;
   }
   [[nodiscard]] int cross_shard_dst() const { return cross_shard_dst_; }
@@ -167,12 +160,12 @@ class Link {
  private:
   friend struct FusedLinkDeliver;
 
-  /// One in-flight packet on the fused pipeline.  `ser_end` plus the raw
-  /// (h, k) key name the *virtual* serializer-end event this entry replaces;
-  /// `in_queue` tracks whether the packet still counts toward queue_bytes_
-  /// (cleared when its predecessor finishes serializing, exactly when legacy
-  /// start_next would have popped it).  `pkt` is null on cut links — the
-  /// packet traveled with the eagerly posted crossing.
+  /// One accepted packet.  `ser_end` plus the raw (h, k) key name its
+  /// serializer-end milestone; on a clocked link only entries up to the
+  /// serializing one (index mat_) have them yet.  `in_queue` tracks whether
+  /// the packet still counts toward queue_bytes_ (cleared when its
+  /// predecessor finishes serializing).  `pkt` is null on virtual cut links —
+  /// the packet traveled with the eagerly posted crossing.
   struct PipeEntry {
     PacketPtr pkt;
     std::int32_t bytes = 0;
@@ -182,35 +175,30 @@ class Link {
     std::uint32_t k = 0;
   };
 
-  [[nodiscard]] bool use_fused() const {
-    return !pinned_legacy_ && !source_ && !fault_filter_ && cfg_.prop_delay.ns() > 0;
-  }
-
-  /// Tail-drop / ECN admission against the current queue_bytes_; shared by
-  /// both serializer paths so the formulas can never drift apart.  Returns
+  /// Tail-drop / ECN admission against the current queue_bytes_.  Returns
   /// false when the packet was dropped.
   bool admit(Packet& pkt);
-  void enqueue_fused(PacketPtr pkt);
-  /// Replays every virtual serializer-end milestone the legacy engine would
-  /// already have run, in order, each at its own timestamp.  Lazy and
-  /// idempotent; called before every read or commit of serializer state.
+  /// Replays, in order, every virtual serializer-end milestone that has
+  /// passed, each at its own timestamp.  Lazy and idempotent; called before
+  /// every read or commit of serializer state.  A no-op on clocked links.
   void advance() const;
-  void fire_head(std::uint64_t epoch);
-  /// Hands the fused pipeline's not-yet-serialized traffic to the legacy
-  /// serializer: the entry mid-serialization becomes in_flight_ with its
-  /// serializer-end event keyed as legacy would have keyed it, and the
-  /// entries behind it become queue_.  Entries already past serializer end
-  /// stay in the pipe and drain through the resident head event; a handed-
-  /// over head is still delivered by that event (handed_over_).
-  void to_legacy();
-  void check_pipe_order() const;  ///< Debug-only FIFO invariant sweep.
-
+  /// Adds a departure to the TX counters and rate checkpoints.
+  void count_departure(std::int32_t bytes, TimeNs at) const;
+  /// Arms the resident head event for the pipe's front entry, unless it is
+  /// armed already or the front's clocked serializer end has yet to fire.
+  void arm_head();
+  void fire_head(std::uint64_t h, std::uint32_t k);
+  /// Clocked path: dequeues the next entry or pulls one from the source, and
+  /// starts serializing it under the current event's next child key.
   void start_next();
-  /// `head_event` names the stale fused head event that delivers this
-  /// packet (a serialization handed over by to_legacy()), or kNoHeadEvent.
-  static constexpr std::uint64_t kNoHeadEvent = ~std::uint64_t{0};
-  void finish_transmit(std::int32_t bytes, std::uint64_t epoch,
-                       std::uint64_t head_event = kNoHeadEvent);
+  void start_serializing(PipeEntry& e);
+  void end_serializing(std::uint64_t h, std::uint32_t k);
+  void erase_entry(std::size_t i);
+  /// Switches the link to clocked serializer ends (once).  The entry being
+  /// serialized gets a real event at its committed key; entries queued
+  /// behind it are keyed when they start.
+  void to_clocked();
+  void check_pipe_order() const;  ///< Debug-only FIFO invariant sweep.
   void record_drop(const Packet& pkt, obs::DropReason reason);
 
   Simulator& sim_;
@@ -219,35 +207,18 @@ class Link {
   Node* dst_;
   LinkConfig cfg_;
 
-  RingDeque<PacketPtr> queue_;
-  /// Fused pipeline of in-flight packets, in serialization order; the first
-  /// `mat_` entries' serializer-end milestones have been replayed.  Mutable
-  /// (with the bookkeeping below) because replay happens lazily from const
-  /// telemetry reads.
+  /// Every accepted packet, in serialization order; the first `mat_`
+  /// entries are past their serializer end.  Mutable (with the bookkeeping
+  /// below) because virtual replay happens lazily from const telemetry reads.
   mutable RingDeque<PipeEntry> pipe_;
   mutable std::size_t mat_ = 0;
   mutable std::int64_t queue_bytes_ = 0;
   std::int64_t max_queue_bytes_ = 0;
-  bool busy_ = false;
   bool down_ = false;
-  bool pinned_legacy_ = false;
-  PacketPtr in_flight_;  // the packet currently being serialized (legacy path)
-  /// Bumped when an in-flight serialization is aborted (set_down); the
-  /// legacy serializer-end event compares its captured epoch and becomes a
-  /// no-op.
-  std::uint64_t epoch_ = 0;
-  /// The fused head event's epoch, bumped when the entry it points at is
-  /// dropped or handed to the legacy serializer.  Separate from epoch_: a
-  /// legacy abort must not strand packets still propagating in the pipe.
-  std::uint64_t pipe_epoch_ = 0;
-  /// A handed-over head past its serializer end, waiting for the stale head
-  /// event (epoch handed_over_epoch_) that fires at its legacy delivery key.
-  /// A link is handed over at most once with its head serializing: it then
-  /// stays legacy, so one slot suffices.
-  PacketPtr handed_over_;
-  std::uint64_t handed_over_epoch_ = 0;
+  bool clocked_ = false;     ///< Serializer ends are real calendar events.
+  bool head_armed_ = false;  ///< The resident head event targets pipe_.front().
   /// The shard whose execution frontier decides which virtual milestones
-  /// have fired; captured at the first fused commit.
+  /// have fired; captured at the first virtual commit.
   Simulator::ShardHandle home_ = nullptr;
   PullSource source_;
   FaultFilter fault_filter_;

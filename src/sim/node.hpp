@@ -42,18 +42,18 @@ struct DeliverEvent {
 
 class Link;
 
-/// The fused-pipeline head event: the only calendar entry a busy fused link
-/// keeps resident.  Fires the pipe head's arrival at the peer and re-arms
-/// itself for the next in-flight packet (src/sim/link.cpp).  The packet stays
-/// owned by the link's pipe — not by this event — so an abort (set_down)
-/// destroys dropped packets at legacy-identical times; `epoch` neutralizes a
-/// stale head event after such an abort.  A head handed to the legacy
-/// serializer (Link::to_legacy) keeps its event: it delivers the packet the
-/// legacy serializer end parks for it, at the key a DeliverEvent would take.
-/// Lives here so the engine profiler can classify it as a delivery dispatch.
+/// The link head event: the only delivery event a busy link keeps resident.
+/// Fires the pipe head's arrival at the peer and re-arms itself for the next
+/// packet (src/sim/link.cpp).  The packet stays owned by the link's pipe —
+/// not by this event — so an abort (set_down) frees dropped packets when the
+/// link drops them.  (h, k) is the head entry's serializer-end key: an event
+/// whose entry is no longer at the front of the pipe is stale and does
+/// nothing.  Lives here so the engine profiler can classify it as a delivery
+/// dispatch.
 struct FusedLinkDeliver {
   Link* link;
-  std::uint64_t epoch;
+  std::uint64_t h;
+  std::uint32_t k;
   void operator()();
 };
 
@@ -65,6 +65,6 @@ struct FusedLinkDeliver {
 template <>
 inline constexpr bool ufab::is_trivially_relocatable_v<ufab::sim::DeliverEvent> = true;
 
-/// FusedLinkDeliver is a raw pointer plus an integer: trivially copyable.
+/// FusedLinkDeliver is a raw pointer plus two integers: trivially copyable.
 template <>
 inline constexpr bool ufab::is_trivially_relocatable_v<ufab::sim::FusedLinkDeliver> = true;

@@ -566,10 +566,7 @@ void Simulator::run_until_sharded(TimeNs t) {
       set_clocks(t, true);
       break;
     }
-    if (adaptive_ && shards_.size() > 1) {
-      const int x = single_active_shard();
-      if (x >= 0 && solo_run(x, t)) continue;
-    }
+    if (const int x = single_active_shard(); x >= 0 && solo_run(x, t)) continue;
     // Fast-forward: idle gaps cost one pass, not (gap / lookahead) of them.
     const TimeNs base = std::max(clock, earliest);
     if (lookahead_ == TimeNs::max() || t - base <= lookahead_) {
@@ -619,10 +616,7 @@ void Simulator::run_sharded_drain() {
       run_pass(TimeNs::max(), true);
       continue;
     }
-    if (adaptive_ && shards_.size() > 1) {
-      const int x = single_active_shard();
-      if (x >= 0 && solo_run(x, TimeNs::max())) continue;
-    }
+    if (const int x = single_active_shard(); x >= 0 && solo_run(x, TimeNs::max())) continue;
     const std::int64_t la = lookahead_.ns();
     const int w = epoch_windows_;
     if (prof_ != nullptr) {
@@ -650,7 +644,6 @@ std::string Simulator::profile_json() const {
   ctx.shard_count = shard_count();
   ctx.threaded = threaded();
   ctx.lookahead_ns = lookahead_ == TimeNs::max() ? -1 : lookahead_.ns();
-  ctx.adaptive_epochs = adaptive_;
   ctx.epoch_windows = epoch_windows_;
   ctx.handoff_max_batch = handoff_max_batch();
   ctx.mailbox_flushes = mailbox_flushes_total();

@@ -165,21 +165,19 @@ class Simulator {
   [[nodiscard]] int shard_count() const { return static_cast<int>(shards_.size()); }
   [[nodiscard]] TimeNs lookahead() const { return lookahead_; }
 
-  /// Adaptive epoch synchronization (DESIGN.md §12).  On: one coordinator
-  /// barrier spans `windows` lookahead windows (shards self-synchronize at
-  /// the interior boundaries through published clocks) and solo rounds skip
-  /// barriers entirely.  Off (`on == false`): every window pays a barrier and
-  /// solo skipping is disabled — the PR-4 epoch structure, kept as the A/B
-  /// baseline for determinism tests.  The schedule is byte-identical either
-  /// way (canonical (h,k) keys are partition- and batching-invariant).
+  /// Epoch synchronization (DESIGN.md §12): one coordinator barrier spans
+  /// `windows` lookahead windows (shards self-synchronize at the interior
+  /// boundaries through published clocks), and solo rounds skip barriers
+  /// entirely.  `windows == 1` pays a barrier per window.  The schedule is
+  /// byte-identical for every width (canonical (h,k) keys are partition- and
+  /// batching-invariant).  Epochs are always adaptive; `on` must be true.
   /// Must be called before the first run.
   void set_adaptive_epochs(bool on, int windows = 16) {
     UFAB_CHECK_MSG(!exec_started_, "set_adaptive_epochs after a run started");
+    UFAB_CHECK_MSG(on, "the single-window epoch cadence is gone: pass windows = 1");
     UFAB_CHECK(windows >= 1);
-    adaptive_ = on;
-    epoch_windows_ = on ? windows : 1;
+    epoch_windows_ = windows;
   }
-  [[nodiscard]] bool adaptive_epochs() const { return adaptive_; }
   [[nodiscard]] int epoch_windows() const { return epoch_windows_; }
 
   /// Per-shard *outgoing* cut lookahead (min prop delay over the shard's
@@ -259,7 +257,7 @@ class Simulator {
         .post(Crossing{at, s.cur_id, s.cur_k++, dst_shard, dst, std::move(pkt)});
   }
 
-  // --- explicit-key scheduling (the fused link pipeline, DESIGN.md §13) ---
+  // --- explicit-key scheduling (the link pipe, DESIGN.md §13) ---
 
   /// A raw (h, k) ordering key, before the event_identity finalizer.
   struct ChildKey {
@@ -268,31 +266,30 @@ class Simulator {
   };
 
   /// Consumes and returns the key the next at()/after() call from this
-  /// context would have stamped — without scheduling anything.  The fused
-  /// link pipeline reserves the slot the legacy serializer-end event would
-  /// have occupied, so every descendant keeps its byte-identical key even
-  /// though the event itself never enters the calendar.
+  /// context would have stamped — without scheduling anything.  A link
+  /// reserves the slot of a virtual serializer end (or of a delivery its
+  /// resident head event carries), so every descendant keeps its key even
+  /// though no event of its own enters the calendar.
   [[nodiscard]] ChildKey alloc_child_key() { return next_key(active()); }
 
   /// Schedules `fn` at `t` under an explicit raw key instead of one stamped
-  /// from the current context.  The fused pipeline reproduces legacy keys
-  /// through this: the head departure is scheduled with exactly the (h, k)
-  /// the two-event chain would have used, and so is the serializer-end event
-  /// of a packet handed back to the legacy serializer mid-flight.
+  /// from the current context.  A link arms its head delivery under the key
+  /// of its entry's serializer end, and a mid-run switch to clocked
+  /// serializer ends schedules the serializing entry at its committed key.
   void at_keyed(TimeNs t, std::uint64_t h, std::uint32_t k, UniqueFunction fn) {
     Shard& s = active();
     UFAB_CHECK_MSG(t >= s.now, "scheduling into the past");
     push(s, t, h, k, std::move(fn));
   }
 
-  /// post_cross with an explicit key: the fused pipeline posts a cut-link
-  /// crossing eagerly at commit time (from the enqueuing event) carrying the
-  /// delivery key the legacy serializer-end event would have produced at wire
-  /// exit.  Safe for the conservative sync: `at` exceeds the posting time by
-  /// at least tx + prop >= lookahead, so the crossing still lands at or past
-  /// every boundary reachable from the posting window, and it is flushed and
-  /// drained at the first boundary after the post — earlier than legacy,
-  /// never later.  Must be called from inside a running event: a root-context
+  /// post_cross with an explicit key: a virtual cut link posts its crossing
+  /// eagerly at commit time (from the enqueuing event) carrying the delivery
+  /// key its serializer end would produce at wire exit.  Safe for the
+  /// conservative sync: `at` exceeds the posting time by at least
+  /// tx + prop >= lookahead, so the crossing still lands at or past every
+  /// boundary reachable from the posting window, and it is flushed and
+  /// drained at the first boundary after the post — earlier than a post at
+  /// wire exit, never later.  Must be called from inside a running event: a root-context
   /// post would sit unflushed where earliest_pending()/solo decisions cannot
   /// see it.
   void post_cross_keyed(int dst_shard, TimeNs at, Node* dst, PacketPtr pkt,
@@ -305,19 +302,19 @@ class Simulator {
     cross_ch(s.index, dst_shard).post(Crossing{at, h, k, dst_shard, dst, std::move(pkt)});
   }
 
-  /// Opaque handle to the shard the calling context schedules onto.  The
-  /// fused pipeline captures it at first commit so later queries — possibly
+  /// Opaque handle to the shard the calling context schedules onto.  A link
+  /// captures it at its first virtual commit so later queries — possibly
   /// made from another shard's context under sequential execution (soak's
   /// queue sampler) — evaluate firedness against the link's own shard, and
-  /// a mid-run hand-over to the legacy serializer schedules onto it.
+  /// a mid-run switch to clocked serializer ends schedules onto it.
   using ShardHandle = const void*;
   [[nodiscard]] ShardHandle active_shard_handle() const { return &active(); }
   [[nodiscard]] ShardScope scoped(ShardHandle handle) {
     return ShardScope(this, static_cast<const Shard*>(handle)->index);
   }
 
-  /// Whether the legacy engine would already have run an event keyed
-  /// (t, h, k) on `handle`'s shard.  Monotone (once fired, always fired):
+  /// Whether an event keyed (t, h, k) on `handle`'s shard would already have
+  /// run, had it been scheduled.  Monotone (once fired, always fired):
   /// strictly-past times have run; at the current instant, mid-event the raw
   /// key of the executing event is the frontier (the calendar pops in strict
   /// (at, h, k) order and every key we ask about was scheduled strictly
@@ -758,7 +755,6 @@ class Simulator {
   TimeNs lookahead_ = TimeNs::max();
   std::uint32_t root_k_ = 0;  ///< FIFO counter for root-context scheduling.
 
-  bool adaptive_ = true;    ///< Multi-window epochs + solo barrier skipping.
   int epoch_windows_ = 16;  ///< Lookahead windows per coordinator barrier.
   std::vector<TimeNs> shard_out_la_;  ///< Per-shard outgoing cut lookahead.
 

@@ -61,9 +61,7 @@ class EnvGuard {
   std::optional<std::string> saved_;
 };
 
-/// `legacy_links` pins every link to the legacy two-event serializer before
-/// any traffic — the reference the fused pipelines must match.
-Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool legacy_links = false) {
+Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed) {
   Experiment exp(
       scheme,
       [](sim::Simulator& s, const topo::FabricOptions& o) {
@@ -71,9 +69,6 @@ Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool legacy_links = f
       },
       {}, {}, seed);
   auto& fab = exp.fab();
-  if (legacy_links) {
-    for (sim::Link* l : fab.net().links()) l->pin_legacy();
-  }
   auto& vms = fab.vms();
 
   std::vector<VmPairId> pairs;
@@ -108,13 +103,33 @@ Snapshot run_tiny_fig17(Scheme scheme, std::uint64_t seed, bool legacy_links = f
 }
 
 Snapshot run_with_shards(const char* shards, const char* exec, Scheme scheme,
-                         std::uint64_t seed, const char* adaptive = nullptr,
-                         const char* windows = nullptr, bool legacy_links = false) {
+                         std::uint64_t seed, const char* windows = nullptr) {
   EnvGuard g1("UFAB_SHARDS", shards);
   EnvGuard g2("UFAB_SHARD_EXEC", exec);
-  EnvGuard g3("UFAB_ADAPTIVE_EPOCHS", adaptive);
-  EnvGuard g4("UFAB_EPOCH_WINDOWS", windows);
-  return run_tiny_fig17(scheme, seed, legacy_links);
+  EnvGuard g3("UFAB_EPOCH_WINDOWS", windows);
+  return run_tiny_fig17(scheme, seed);
+}
+
+/// FNV-1a over every field of a Snapshot, sizes included, in declaration
+/// order: equal digests mean bit-identical snapshots.
+std::uint64_t snapshot_digest(const Snapshot& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto add = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const std::vector<double>* v : {&s.pair_rates_gbps, &s.fct_us}) {
+    const std::uint64_t n = v->size();
+    add(&n, sizeof(n));
+    add(v->data(), v->size() * sizeof(double));
+  }
+  add(&s.dissatisfaction_pct, sizeof(s.dissatisfaction_pct));
+  add(&s.drops, sizeof(s.drops));
+  add(&s.events, sizeof(s.events));
+  return h;
 }
 
 TEST(ShardedDeterminism, OneTwoFourEightShardsAreBitIdentical) {
@@ -141,38 +156,35 @@ TEST(ShardedDeterminism, ThreadedExecutionMatchesSequential) {
 }
 
 TEST(ShardedDeterminism, AdaptiveEpochsAreScheduleNeutral) {
-  // The legacy one-window cadence is the reference; multi-window adaptive
-  // epochs (any width, either executor) must reproduce it bit for bit.
-  const Snapshot legacy = run_with_shards("4", "seq", Scheme::kUfab, 41, "0");
-  ASSERT_FALSE(legacy.fct_us.empty());
-  EXPECT_EQ(legacy, run_with_shards("4", "seq", Scheme::kUfab, 41, "1", "4"));
-  EXPECT_EQ(legacy, run_with_shards("4", "seq", Scheme::kUfab, 41, "1", "16"));
-  EXPECT_EQ(legacy, run_with_shards("4", "threads", Scheme::kUfab, 41, "1", "16"));
-  EXPECT_EQ(legacy, run_with_shards("8", "threads", Scheme::kUfab, 41, "1", "16"));
-  EXPECT_EQ(legacy, run_with_shards("8", "seq", Scheme::kUfab, 41, "0"));
+  // A barrier per lookahead window is the reference; multi-window epochs
+  // (any width, either executor) must reproduce it bit for bit.
+  const Snapshot one_window = run_with_shards("4", "seq", Scheme::kUfab, 41, "1");
+  ASSERT_FALSE(one_window.fct_us.empty());
+  EXPECT_EQ(one_window, run_with_shards("4", "seq", Scheme::kUfab, 41, "4"));
+  EXPECT_EQ(one_window, run_with_shards("4", "seq", Scheme::kUfab, 41, "16"));
+  EXPECT_EQ(one_window, run_with_shards("4", "threads", Scheme::kUfab, 41, "1"));
+  EXPECT_EQ(one_window, run_with_shards("4", "threads", Scheme::kUfab, 41, "16"));
+  EXPECT_EQ(one_window, run_with_shards("8", "threads", Scheme::kUfab, 41, "16"));
+  EXPECT_EQ(one_window, run_with_shards("8", "seq", Scheme::kUfab, 41, "1"));
 }
 
 TEST(ShardedDeterminism, FusedLinksMatchLegacySerializerBitForBit) {
-  // Every link pinned to the two-event serializer is the reference; with the
-  // fused pipelines (the default) every observable statistic must survive
-  // byte for byte — only the event count may change, and it must shrink.
-  auto run_fused = [](const char* shards, const char* exec, bool legacy_links) {
-    return run_with_shards(shards, exec, Scheme::kUfab, 41, nullptr, nullptr, legacy_links);
-  };
-  const Snapshot legacy = run_fused("1", nullptr, true);
-  const Snapshot fused = run_fused("1", nullptr, false);
-  ASSERT_FALSE(fused.fct_us.empty());
-  EXPECT_EQ(fused.pair_rates_gbps, legacy.pair_rates_gbps);
-  EXPECT_EQ(fused.fct_us, legacy.fct_us);
-  EXPECT_EQ(fused.dissatisfaction_pct, legacy.dissatisfaction_pct);
-  EXPECT_EQ(fused.drops, legacy.drops);
-  EXPECT_LT(fused.events, legacy.events);  // the point of fusing
-
-  // The fused schedule is itself partition- and executor-invariant...
-  EXPECT_EQ(fused, run_fused("4", "seq", false));
-  EXPECT_EQ(fused, run_fused("4", "threads", false));
-  // ...and so is the legacy reference.
-  EXPECT_EQ(legacy, run_fused("4", "threads", true));
+  // Golden snapshot of the seed-41 run, captured when links still had two
+  // serializers: the legacy two-event reference (every link pinned to it)
+  // and the fused default produced these exact statistics, and the fused
+  // default this digest and event count.  The one serializer must keep them
+  // on every partition and executor.
+  constexpr std::uint64_t kDigest = 0x2eab8418a6b508eeull;
+  constexpr std::uint64_t kEvents = 63'771;
+  for (const char* shards : {"1", "2", "4"}) {
+    for (const char* exec : {"seq", "threads"}) {
+      const Snapshot snap = run_with_shards(shards, exec, Scheme::kUfab, 41);
+      ASSERT_EQ(snap.fct_us.size(), 14u) << shards << " shards, " << exec;
+      EXPECT_EQ(snap.drops, 0) << shards << " shards, " << exec;
+      EXPECT_EQ(snap.events, kEvents) << shards << " shards, " << exec;
+      EXPECT_EQ(snapshot_digest(snap), kDigest) << shards << " shards, " << exec;
+    }
+  }
 }
 
 TEST(ShardedDeterminism, HoldsAcrossSchemesAndSeeds) {

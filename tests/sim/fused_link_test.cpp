@@ -1,9 +1,12 @@
-// Fused link pipelines (DESIGN.md §13): one resident calendar event per busy
-// link, with delivery times, drop accounting, telemetry, and flap semantics
-// byte-identical to the legacy two-event serializer.  Every push link fuses
-// by default; the same scenarios are replayed on links pinned to the legacy
-// serializer (pin_legacy) to pin equivalence, including pins and fault
-// filters attached mid-stream, which hand live fused traffic over.
+// The one link serializer (DESIGN.md §13): one resident delivery event per
+// busy link, with serializer ends that are either virtual (push links,
+// replayed lazily) or clocked (real calendar events, for pull sources,
+// wire-loss filters and flapped links).  The two kinds must be
+// indistinguishable from outside: the same packets through a push link and
+// through a link whose wire-loss filter never fires (which forces clocked
+// serializer ends) give identical delivery times, TX counters, rate
+// estimates, queue depths, drops and ECN marks — also when the filter or a
+// flap mark is attached mid-stream, and across a flap.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -37,36 +40,43 @@ PacketPtr make_data(std::int32_t bytes) {
                       HostId{1}, bytes);
 }
 
-/// A serial simulator with one link, fused or pinned to the legacy serializer.
+/// Forces clocked serializer ends without losing anything.
+void attach_pass_filter(Link& link) {
+  link.set_fault_filter([](const Packet&) { return false; });
+}
+
+/// A serial simulator with one link, virtual or clocked.
 struct World {
-  explicit World(bool fused, TimeNs prop = 1_us) : sink(sim) {
+  explicit World(bool clocked, TimeNs prop = 1_us, std::int64_t queue_limit = 1'000'000,
+                 std::int64_t ecn_threshold = -1)
+      : sink(sim) {
     link = std::make_unique<Link>(sim, LinkId{0}, "l", &sink,
-                                  LinkConfig{10_Gbps, prop, 1'000'000, -1, 0.95});
-    if (!fused) link->pin_legacy();
+                                  LinkConfig{10_Gbps, prop, queue_limit, ecn_threshold, 0.95});
+    if (clocked) attach_pass_filter(*link);
   }
   Simulator sim;
   SinkNode sink;
   std::unique_ptr<Link> link;
 };
 
-TEST(FusedLink, MatchesLegacyDeliveryTimesAndCounters) {
-  std::vector<std::pair<TimeNs, std::int32_t>> legacy_arrivals;
-  for (const bool fused : {false, true}) {
-    World w(fused);
+TEST(FusedLink, ClockedMatchesVirtualDeliveryTimesAndCounters) {
+  std::vector<std::pair<TimeNs, std::int32_t>> virtual_arrivals;
+  for (const bool clocked : {false, true}) {
+    World w(clocked);
     for (const std::int32_t bytes : {1500, 64, 1500, 9000, 300}) {
       w.link->enqueue(make_data(bytes));
     }
     w.sim.run();
     ASSERT_EQ(w.sink.arrivals.size(), 5u);
-    if (!fused) {
+    if (!clocked) {
       for (const auto& [at, pkt] : w.sink.arrivals) {
-        legacy_arrivals.push_back({at, pkt->size_bytes});
+        virtual_arrivals.push_back({at, pkt->size_bytes});
       }
       continue;
     }
     for (std::size_t i = 0; i < w.sink.arrivals.size(); ++i) {
-      EXPECT_EQ(w.sink.arrivals[i].first, legacy_arrivals[i].first) << "packet " << i;
-      EXPECT_EQ(w.sink.arrivals[i].second->size_bytes, legacy_arrivals[i].second);
+      EXPECT_EQ(w.sink.arrivals[i].first, virtual_arrivals[i].first) << "packet " << i;
+      EXPECT_EQ(w.sink.arrivals[i].second->size_bytes, virtual_arrivals[i].second);
     }
     EXPECT_EQ(w.link->tx_bytes_cum(), 1500 + 64 + 1500 + 9000 + 300);
     EXPECT_EQ(w.link->drops(), 0);
@@ -75,177 +85,191 @@ TEST(FusedLink, MatchesLegacyDeliveryTimesAndCounters) {
 }
 
 TEST(FusedLink, OneResidentCalendarEventPerBusyLink) {
-  // Long propagation: all eight packets serialize before the first arrives,
-  // so the legacy engine holds one DeliverEvent per in-flight packet while
-  // the fused pipe holds them all behind a single head event.
-  World legacy(false, 100_us);
-  World fused(true, 100_us);
+  // Long propagation: all eight packets serialize before the first arrives.
+  // Both kinds hold them all behind a single head event; the clocked link
+  // additionally ran one serializer-end event per packet.
+  World virt(false, 100_us);
+  World clocked(true, 100_us);
   for (int i = 0; i < 8; ++i) {
-    legacy.link->enqueue(make_data(1500));
-    fused.link->enqueue(make_data(1500));
+    virt.link->enqueue(make_data(1500));
+    clocked.link->enqueue(make_data(1500));
   }
   // 8 x 1200 ns of serialization ends at 9.6 us; first delivery at 101.2 us.
-  legacy.sim.run_until(50_us);
-  fused.sim.run_until(50_us);
-  EXPECT_EQ(legacy.sim.pending(), 8u);  // one propagation event per packet
-  EXPECT_EQ(fused.sim.pending(), 1u);   // the head departure only
-  EXPECT_EQ(fused.link->pipe_depth(), 8u);
-  EXPECT_EQ(fused.link->tx_bytes_cum(), legacy.link->tx_bytes_cum());
-  legacy.sim.run();
-  fused.sim.run();
-  ASSERT_EQ(fused.sink.arrivals.size(), 8u);
+  virt.sim.run_until(50_us);
+  clocked.sim.run_until(50_us);
+  EXPECT_EQ(virt.sim.pending(), 1u);  // the head departure only
+  EXPECT_EQ(clocked.sim.pending(), 1u);
+  EXPECT_EQ(virt.link->pipe_depth(), 8u);
+  EXPECT_EQ(clocked.link->pipe_depth(), 8u);
+  EXPECT_EQ(virt.link->tx_bytes_cum(), clocked.link->tx_bytes_cum());
+  EXPECT_EQ(clocked.sim.events_processed(), 8u);
+  virt.sim.run();
+  clocked.sim.run();
+  ASSERT_EQ(virt.sink.arrivals.size(), 8u);
   for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(fused.sink.arrivals[i].first, legacy.sink.arrivals[i].first);
+    EXPECT_EQ(virt.sink.arrivals[i].first, clocked.sink.arrivals[i].first);
   }
-  // The fused run retires one calendar event per hop instead of two.
-  EXPECT_LT(fused.sim.events_processed(), legacy.sim.events_processed());
+  // A virtual hop is one calendar event, a clocked hop two.
+  EXPECT_EQ(virt.sim.events_processed(), 8u);
+  EXPECT_EQ(clocked.sim.events_processed(), 16u);
 }
 
-TEST(FusedLink, TelemetryMatchesLegacyMidStream) {
-  World legacy(false, 2_us);
-  World fused(true, 2_us);
+TEST(FusedLink, TelemetryClockedMatchesVirtualMidStream) {
+  World virt(false, 2_us);
+  World clocked(true, 2_us);
   for (int i = 0; i < 6; ++i) {
-    legacy.link->enqueue(make_data(1500));
-    fused.link->enqueue(make_data(1500));
+    virt.link->enqueue(make_data(1500));
+    clocked.link->enqueue(make_data(1500));
   }
   for (const TimeNs at : {TimeNs{1000}, TimeNs{1200}, TimeNs{2500}, TimeNs{5000}, TimeNs{9000}}) {
-    legacy.sim.run_until(at);
-    fused.sim.run_until(at);
-    EXPECT_EQ(fused.link->queue_bytes(), legacy.link->queue_bytes()) << "at " << at.ns();
-    EXPECT_EQ(fused.link->tx_bytes_cum(), legacy.link->tx_bytes_cum()) << "at " << at.ns();
-    EXPECT_EQ(fused.link->max_queue_bytes(), legacy.link->max_queue_bytes()) << "at " << at.ns();
-    EXPECT_DOUBLE_EQ(fused.link->tx_rate().bits_per_sec(), legacy.link->tx_rate().bits_per_sec())
+    virt.sim.run_until(at);
+    clocked.sim.run_until(at);
+    EXPECT_EQ(clocked.link->queue_bytes(), virt.link->queue_bytes()) << "at " << at.ns();
+    EXPECT_EQ(clocked.link->tx_bytes_cum(), virt.link->tx_bytes_cum()) << "at " << at.ns();
+    EXPECT_EQ(clocked.link->max_queue_bytes(), virt.link->max_queue_bytes()) << "at " << at.ns();
+    EXPECT_DOUBLE_EQ(clocked.link->tx_rate().bits_per_sec(), virt.link->tx_rate().bits_per_sec())
         << "at " << at.ns();
   }
 }
 
-TEST(FusedLink, TailDropAndEcnMatchLegacy) {
+TEST(FusedLink, TailDropAndEcnClockedMatchVirtual) {
   // Tail drop: queue limit fits exactly two MTUs beyond the in-service
-  // packet, so of five arrivals two must drop on both serializer paths.
-  for (const bool fused : {false, true}) {
-    World w(fused);
-    w.link = std::make_unique<Link>(w.sim, LinkId{0}, "l", &w.sink,
-                                    LinkConfig{10_Gbps, 1_us, 3000, -1, 0.95});
-    if (!fused) w.link->pin_legacy();
+  // packet, so of five arrivals two must drop on both kinds of link.
+  for (const bool clocked : {false, true}) {
+    World w(clocked, 1_us, 3000);
     for (int i = 0; i < 5; ++i) w.link->enqueue(make_data(1500));
     w.sim.run();
-    ASSERT_EQ(w.sink.arrivals.size(), 3u) << "fused=" << fused;
-    EXPECT_EQ(w.link->drops(), 2) << "fused=" << fused;
+    ASSERT_EQ(w.sink.arrivals.size(), 3u) << "clocked=" << clocked;
+    EXPECT_EQ(w.link->drops(), 2) << "clocked=" << clocked;
   }
   // ECN: the mark pattern (which packets exceed the standing-queue
   // threshold at enqueue) must be identical packet by packet.
-  World legacy(false);
-  World marked(true);
-  legacy.link = std::make_unique<Link>(legacy.sim, LinkId{0}, "l", &legacy.sink,
-                                       LinkConfig{10_Gbps, 1_us, 1'000'000, 2000, 0.95});
-  legacy.link->pin_legacy();
-  marked.link = std::make_unique<Link>(marked.sim, LinkId{0}, "l", &marked.sink,
-                                       LinkConfig{10_Gbps, 1_us, 1'000'000, 2000, 0.95});
+  World virt(false, 1_us, 1'000'000, 2000);
+  World clocked(true, 1_us, 1'000'000, 2000);
   for (int i = 0; i < 4; ++i) {
-    legacy.link->enqueue(make_data(1500));
-    marked.link->enqueue(make_data(1500));
+    virt.link->enqueue(make_data(1500));
+    clocked.link->enqueue(make_data(1500));
   }
-  legacy.sim.run();
-  marked.sim.run();
-  ASSERT_EQ(marked.sink.arrivals.size(), 4u);
+  virt.sim.run();
+  clocked.sim.run();
+  ASSERT_EQ(virt.sink.arrivals.size(), 4u);
+  ASSERT_EQ(clocked.sink.arrivals.size(), 4u);
   int marks = 0;
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(marked.sink.arrivals[i].second->ecn_ce, legacy.sink.arrivals[i].second->ecn_ce)
+    EXPECT_EQ(clocked.sink.arrivals[i].second->ecn_ce, virt.sink.arrivals[i].second->ecn_ce)
         << "packet " << i;
-    marks += marked.sink.arrivals[i].second->ecn_ce ? 1 : 0;
+    marks += virt.sink.arrivals[i].second->ecn_ce ? 1 : 0;
   }
   EXPECT_GE(marks, 1);
-  EXPECT_FALSE(marked.sink.arrivals[0].second->ecn_ce);
+  EXPECT_FALSE(virt.sink.arrivals[0].second->ecn_ce);
 }
 
 TEST(FusedLink, RapidFlapDoesNotWedgePipeline) {
-  // The fused variant of the PR 1 wedge-window regression: an abort mid-
-  // serialization must free the pipe immediately and neutralize the stale
-  // head event, so traffic after a fast re-enable flows at once.
-  World w(true);
-  w.link->enqueue(make_data(1500));  // serializes during [0, 1200) ns
-  w.sim.run_until(TimeNs{600});
-  w.link->set_down(true);   // aborts mid-serialization
-  w.link->set_down(false);  // immediate re-enable
-  EXPECT_EQ(w.link->pipe_depth(), 0u);
-  w.link->enqueue(make_data(1000));
-  w.sim.run();
-  ASSERT_EQ(w.sink.arrivals.size(), 1u);
-  // New packet serializes during [600, 1400), arrives prop (1 us) later —
-  // not at the aborted packet's old completion time.  The stale head event
-  // (2200 ns) must not deliver anything.
-  EXPECT_EQ(w.sink.arrivals[0].first, TimeNs{2400});
-  EXPECT_EQ(w.link->drops(), 1);
-  EXPECT_EQ(w.link->tx_bytes_cum(), 1000);
+  // An abort mid-serialization must free the pipe immediately and
+  // neutralize the stale event (the head event of a virtual link, the
+  // serializer end of a clocked one), so traffic after a fast re-enable
+  // flows at once.
+  for (const bool clocked : {false, true}) {
+    World w(clocked);
+    w.link->enqueue(make_data(1500));  // serializes during [0, 1200) ns
+    w.sim.run_until(TimeNs{600});
+    w.link->set_down(true);   // aborts mid-serialization
+    w.link->set_down(false);  // immediate re-enable
+    EXPECT_EQ(w.link->pipe_depth(), 0u);
+    w.link->enqueue(make_data(1000));
+    w.sim.run();
+    ASSERT_EQ(w.sink.arrivals.size(), 1u) << "clocked=" << clocked;
+    // New packet serializes during [600, 1400), arrives prop (1 us) later —
+    // not at the aborted packet's old completion time.  The stale event
+    // must not deliver anything.
+    EXPECT_EQ(w.sink.arrivals[0].first, TimeNs{2400});
+    EXPECT_EQ(w.link->drops(), 1);
+    EXPECT_EQ(w.link->tx_bytes_cum(), 1000);
+  }
 }
 
 TEST(FusedLink, SetDownKeepsPacketsAlreadyOnTheWire) {
-  // Packets past their serializer-end are propagating: like legacy
-  // DeliverEvents they survive a set_down and still arrive.
-  World w(true, 100_us);
-  for (int i = 0; i < 3; ++i) w.link->enqueue(make_data(1500));
-  w.sim.run_until(10_us);  // all serialized (3.6 us), none delivered
-  w.link->set_down(true);
-  w.link->enqueue(make_data(1500));  // dropped on arrival: link is down
-  w.sim.run();
-  ASSERT_EQ(w.sink.arrivals.size(), 3u);
-  EXPECT_EQ(w.sink.arrivals[2].first, TimeNs{103'600});
-  EXPECT_EQ(w.link->drops(), 1);
-  EXPECT_EQ(w.link->pipe_depth(), 0u);
+  // Packets past their serializer end are propagating: they survive a
+  // set_down and still arrive.
+  for (const bool clocked : {false, true}) {
+    World w(clocked, 100_us);
+    for (int i = 0; i < 3; ++i) w.link->enqueue(make_data(1500));
+    w.sim.run_until(10_us);  // all serialized (3.6 us), none delivered
+    w.link->set_down(true);
+    w.link->enqueue(make_data(1500));  // dropped on arrival: link is down
+    w.sim.run();
+    ASSERT_EQ(w.sink.arrivals.size(), 3u) << "clocked=" << clocked;
+    EXPECT_EQ(w.sink.arrivals[2].first, TimeNs{103'600});
+    EXPECT_EQ(w.link->drops(), 1);
+    EXPECT_EQ(w.link->pipe_depth(), 0u);
+  }
 }
 
 TEST(FusedLink, FlapMidPipelineDropsOnlyUnserializedSuffix) {
   // Mixed pipe at the moment of failure: one packet on the wire (kept), one
-  // in virtual serialization plus one queued (both dropped) — exactly the
-  // packets the legacy engine would have dropped.
-  World w(true, 10_us);
-  for (int i = 0; i < 3; ++i) w.link->enqueue(make_data(1500));  // ser-ends 1.2/2.4/3.6 us
-  w.sim.run_until(TimeNs{1500});
-  w.link->set_down(true);
-  EXPECT_EQ(w.link->drops(), 2);
-  EXPECT_EQ(w.link->pipe_depth(), 1u);  // the propagating packet
-  w.link->set_down(false);
-  w.link->enqueue(make_data(1000));  // serializes during [1500, 2300)
-  w.sim.run();
-  ASSERT_EQ(w.sink.arrivals.size(), 2u);
-  EXPECT_EQ(w.sink.arrivals[0].first, TimeNs{11'200});  // survivor: 1.2 us + 10 us
-  EXPECT_EQ(w.sink.arrivals[1].first, TimeNs{12'300});  // post-recovery packet
-  EXPECT_EQ(w.link->tx_bytes_cum(), 1500 + 1000);
+  // serializing plus one queued (both dropped).
+  for (const bool clocked : {false, true}) {
+    World w(clocked, 10_us);
+    for (int i = 0; i < 3; ++i) w.link->enqueue(make_data(1500));  // ser-ends 1.2/2.4/3.6 us
+    w.sim.run_until(TimeNs{1500});
+    w.link->set_down(true);
+    EXPECT_EQ(w.link->drops(), 2);
+    EXPECT_EQ(w.link->pipe_depth(), 1u);  // the propagating packet
+    w.link->set_down(false);
+    w.link->enqueue(make_data(1000));  // serializes during [1500, 2300)
+    w.sim.run();
+    ASSERT_EQ(w.sink.arrivals.size(), 2u) << "clocked=" << clocked;
+    EXPECT_EQ(w.sink.arrivals[0].first, TimeNs{11'200});  // survivor: 1.2 us + 10 us
+    EXPECT_EQ(w.sink.arrivals[1].first, TimeNs{12'300});  // post-recovery packet
+    EXPECT_EQ(w.link->tx_bytes_cum(), 1500 + 1000);
+  }
 }
 
-TEST(FusedLink, LegacyOnlyModesStayOnLegacyPath) {
-  // Pull sources, fault filters, and pinned links must not enter the pipe.
-  World w(true);
+TEST(FusedLink, ClockedModesTakeTwoEventsPerHop) {
+  // Pull sources, wire-loss filters and flap marks clock the serializer
+  // ends: a hop is one serializer-end event plus the delivery (none for a
+  // packet lost on the wire); a virtual hop is the delivery alone.
+  World pull(false);
   int remaining = 2;
-  w.link->set_source([&]() -> PacketPtr {
+  pull.link->set_source([&]() -> PacketPtr {
     if (remaining == 0) return nullptr;
     --remaining;
     return make_data(1000);
   });
-  w.link->kick();
-  w.sim.run();
-  EXPECT_EQ(w.sink.arrivals.size(), 2u);
-  EXPECT_EQ(w.link->pipe_depth(), 0u);
+  pull.link->kick();
+  pull.sim.run();
+  EXPECT_EQ(pull.sink.arrivals.size(), 2u);
+  EXPECT_EQ(pull.sim.events_processed(), 4u);
 
-  World pinned(true);
-  pinned.link->pin_legacy();
-  pinned.link->enqueue(make_data(1500));
-  pinned.sim.run();
-  EXPECT_EQ(pinned.sink.arrivals.size(), 1u);
-  EXPECT_EQ(pinned.link->pipe_depth(), 0u);
+  World flapped(false);
+  flapped.link->mark_flapped();
+  flapped.link->enqueue(make_data(1500));
+  flapped.sim.run();
+  EXPECT_EQ(flapped.sink.arrivals.size(), 1u);
+  EXPECT_EQ(flapped.sim.events_processed(), 2u);
 
-  World filtered(true);
-  filtered.link->set_fault_filter([](const Packet&) { return true; });
-  filtered.link->enqueue(make_data(1500));
-  filtered.sim.run();
-  EXPECT_EQ(filtered.sink.arrivals.size(), 0u);
-  EXPECT_EQ(filtered.link->fault_drops(), 1);
-  EXPECT_EQ(filtered.link->pipe_depth(), 0u);
+  World lossy(false);
+  lossy.link->set_fault_filter([](const Packet&) { return true; });
+  lossy.link->enqueue(make_data(1500));
+  lossy.sim.run();
+  EXPECT_EQ(lossy.sink.arrivals.size(), 0u);
+  EXPECT_EQ(lossy.link->fault_drops(), 1);
+  EXPECT_EQ(lossy.sim.events_processed(), 1u);
+
+  World virt(false);
+  virt.link->enqueue(make_data(1500));
+  virt.sim.run();
+  EXPECT_EQ(virt.sink.arrivals.size(), 1u);
+  EXPECT_EQ(virt.sim.events_processed(), 1u);
+  for (const World* w : {&pull, &flapped, &lossy, &virt}) EXPECT_EQ(w->link->pipe_depth(), 0u);
 }
 
 /// Observables of one link run, compared field by field.
 struct LinkOutcome {
   std::vector<std::pair<TimeNs, std::int32_t>> arrivals;  ///< (time, bytes)
+  std::vector<bool> ecn_marks;
+  /// (queue_bytes, tx_rate bits/s) sampled after the mid-stream step.
+  std::vector<std::pair<std::int64_t, double>> samples;
   std::int64_t drops = 0;
   std::int64_t fault_drops = 0;
   std::int64_t tx_bytes_cum = 0;
@@ -254,16 +278,16 @@ struct LinkOutcome {
   bool operator==(const LinkOutcome&) const = default;
 };
 
-/// A burst against a short queue (tail drops on both sides of `mid`), with
-/// `attach` run on the link either before any traffic or at `mid`.  A long
-/// propagation delay keeps packets on the wire at `mid`, so a mid-stream
-/// attach meets every kind of pipe entry: propagating, serializing, queued.
+/// A burst against a short, ECN-marking queue (tail drops on both sides of
+/// `mid`), with `attach` run on the link either before any traffic or at
+/// `mid`.  A long propagation delay keeps packets on the wire at `mid`, so a
+/// mid-stream attach meets every kind of pipe entry: propagating,
+/// serializing, queued.  With `flap`, the link goes down 700 ns after `mid`
+/// and back up 300 ns later, and two more packets follow.
 template <typename Attach>
 LinkOutcome run_with_attach(TimeNs mid, bool attach_mid_stream, const Attach& attach,
-                            TimeNs prop = 5_us) {
-  World w(true, prop);
-  w.link = std::make_unique<Link>(w.sim, LinkId{0}, "l", &w.sink,
-                                  LinkConfig{10_Gbps, prop, 6000, -1, 0.95});
+                            TimeNs prop = 5_us, bool flap = false) {
+  World w(false, prop, 6000, 3000);
   if (!attach_mid_stream) attach(w);
   for (const std::int32_t bytes : {1500, 1500, 64, 1500, 1500, 1500, 1500}) {
     w.link->enqueue(make_data(bytes));
@@ -273,9 +297,24 @@ LinkOutcome run_with_attach(TimeNs mid, bool attach_mid_stream, const Attach& at
   for (const std::int32_t bytes : {1500, 300, 1500, 1500, 9000}) {
     w.link->enqueue(make_data(bytes));
   }
-  w.sim.run();
   LinkOutcome out;
-  for (const auto& [at, pkt] : w.sink.arrivals) out.arrivals.push_back({at, pkt->size_bytes});
+  if (flap) {
+    w.sim.run_until(mid + TimeNs{700});
+    w.link->set_down(true);
+    w.sim.run_until(mid + TimeNs{1000});
+    w.link->set_down(false);
+    w.link->enqueue(make_data(1500));
+    w.link->enqueue(make_data(700));
+  }
+  for (const std::int64_t dt : {1100, 1500, 4000, 9000}) {
+    w.sim.run_until(mid + TimeNs{dt});
+    out.samples.push_back({w.link->queue_bytes(), w.link->tx_rate().bits_per_sec()});
+  }
+  w.sim.run();
+  for (const auto& [at, pkt] : w.sink.arrivals) {
+    out.arrivals.push_back({at, pkt->size_bytes});
+    out.ecn_marks.push_back(pkt->ecn_ce);
+  }
   out.drops = w.link->drops();
   out.fault_drops = w.link->fault_drops();
   out.tx_bytes_cum = w.link->tx_bytes_cum();
@@ -290,11 +329,32 @@ LinkOutcome run_with_attach(TimeNs mid, bool attach_mid_stream, const Attach& at
 // still propagating).
 constexpr std::int64_t kMidpoints[] = {600, 1200, 2000, 2400, 3000, 8000};
 
+TEST(FusedLink, ClockedMatchesVirtualAcrossMidStreamSwitchAndFlap) {
+  const auto nothing = [](World&) {};
+  const auto pass_filter = [](World& w) { attach_pass_filter(*w.link); };
+  const auto flap_mark = [](World& w) { w.link->mark_flapped(); };
+  for (const bool flap : {false, true}) {
+    for (const std::int64_t mid : kMidpoints) {
+      const TimeNs m{mid};
+      const LinkOutcome virt = run_with_attach(m, false, nothing, 5_us, flap);
+      ASSERT_GT(virt.drops, 0) << "mid " << mid;
+      EXPECT_EQ(run_with_attach(m, false, pass_filter, 5_us, flap), virt)
+          << "mid " << mid << " flap " << flap;
+      EXPECT_EQ(run_with_attach(m, true, pass_filter, 5_us, flap), virt)
+          << "mid " << mid << " flap " << flap;
+      EXPECT_EQ(run_with_attach(m, true, flap_mark, 5_us, flap), virt)
+          << "mid " << mid << " flap " << flap;
+    }
+  }
+}
+
 TEST(FusedLink, MidStreamPinMatchesPinBeforeTraffic) {
-  const auto pin = [](World& w) { w.link->pin_legacy(); };
+  // A flap mark pins the link to clocked serializer ends; set mid-stream it
+  // must change nothing observable.
+  const auto mark = [](World& w) { w.link->mark_flapped(); };
   for (const std::int64_t mid : kMidpoints) {
-    const LinkOutcome before = run_with_attach(TimeNs{mid}, false, pin);
-    const LinkOutcome during = run_with_attach(TimeNs{mid}, true, pin);
+    const LinkOutcome before = run_with_attach(TimeNs{mid}, false, mark);
+    const LinkOutcome during = run_with_attach(TimeNs{mid}, true, mark);
     ASSERT_GT(before.drops, 0) << "mid " << mid;
     EXPECT_EQ(during, before) << "mid " << mid;
   }
@@ -302,53 +362,59 @@ TEST(FusedLink, MidStreamPinMatchesPinBeforeTraffic) {
 
 TEST(FusedLink, MidStreamPinWithPropEqualToTxTime) {
   // With prop_delay equal to an MTU's 1.2 us serialization, the packet after
-  // a handed-over head ends serializing exactly when the head is delivered,
-  // under the same parent event.  The two keys differ only by the child
-  // slot the hand-over consumes for the parked delivery; builds without
-  // NDEBUG check that they never collide.
-  const auto pin = [](World& w) { w.link->pin_legacy(); };
+  // the entry serializing at the switch ends serializing exactly when that
+  // entry is delivered, under the same parent event.  The two keys differ
+  // only by the child slot the delivery takes; builds without NDEBUG check
+  // that they never collide.
+  const auto mark = [](World& w) { w.link->mark_flapped(); };
   for (const std::int64_t mid : {600, 1800}) {
-    const LinkOutcome before = run_with_attach(TimeNs{mid}, false, pin, 1200_ns);
-    const LinkOutcome during = run_with_attach(TimeNs{mid}, true, pin, 1200_ns);
+    const LinkOutcome before = run_with_attach(TimeNs{mid}, false, mark, 1200_ns);
+    const LinkOutcome during = run_with_attach(TimeNs{mid}, true, mark, 1200_ns);
     EXPECT_EQ(during, before) << "mid " << mid;
   }
 }
 
 TEST(FusedLink, MidStreamFaultFilterMatchesFilterBeforeTraffic) {
-  // The filter drops every second packet leaving the wire after `mid`; one
-  // attached before traffic sees the earlier exits too but passes them, so
-  // both runs must agree on exactly which packets the wire loses.
-  for (const std::int64_t mid : kMidpoints) {
-    const auto filter = [mid](World& w) {
-      w.link->set_fault_filter([&sim = w.sim, mid, seen = 0](const Packet&) mutable {
-        if (sim.now() <= TimeNs{mid}) return false;
-        return ++seen % 2 == 0;
-      });
-    };
-    const LinkOutcome before = run_with_attach(TimeNs{mid}, false, filter);
-    const LinkOutcome during = run_with_attach(TimeNs{mid}, true, filter);
-    ASSERT_GT(before.fault_drops, 0) << "mid " << mid;
-    EXPECT_EQ(during, before) << "mid " << mid;
+  // The filter drops every second packet leaving the wire after `mid`,
+  // starting with the first or the second; one attached before traffic sees
+  // the earlier exits too but passes them, so both runs must agree on
+  // exactly which packets the wire loses.  Dropping the first exit loses the
+  // entry that was serializing at the attach, whose head event (armed while
+  // it was virtual) must then go stale without wedging the link.
+  for (const int first_dropped : {1, 2}) {
+    for (const std::int64_t mid : kMidpoints) {
+      const auto filter = [mid, first_dropped](World& w) {
+        w.link->set_fault_filter(
+            [&sim = w.sim, mid, first_dropped, seen = 0](const Packet&) mutable {
+              if (sim.now() <= TimeNs{mid}) return false;
+              return ++seen % 2 == first_dropped % 2;
+            });
+      };
+      const LinkOutcome before = run_with_attach(TimeNs{mid}, false, filter);
+      const LinkOutcome during = run_with_attach(TimeNs{mid}, true, filter);
+      ASSERT_GT(before.fault_drops, 0) << "mid " << mid;
+      EXPECT_EQ(during, before) << "mid " << mid << " first dropped " << first_dropped;
+    }
   }
 }
 
 TEST(FusedLink, SetDownAfterMidRunPinDeliversPropagatingPackets) {
-  // A pin hands the serializing and queued packets to the legacy serializer
-  // while two packets are still propagating in the fused pipe.  A set_down
-  // then aborts the legacy in-flight packet; it must not cancel the pipe's
-  // head event, or the propagating packets would be stranded.
-  const auto run = [](bool pin_mid_run) {
-    World w(true, 100_us);
-    if (!pin_mid_run) w.link->pin_legacy();
+  // A flap mark switches the serializing and queued packets to clocked
+  // serializer ends while two packets are still propagating.  A set_down
+  // then aborts the serializing packet; it must not cancel the head event,
+  // or the propagating packets would be stranded.
+  const auto run = [](bool mark_mid_run) {
+    World w(false, 100_us);
+    if (!mark_mid_run) w.link->mark_flapped();
     for (int i = 0; i < 4; ++i) {
       w.link->enqueue(make_packet(w.sim.packet_pool(), PacketKind::kData,
                                   VmPairId{VmId{0}, VmId{1}}, TenantId{0}, HostId{0},
                                   HostId{1}, 1500));
     }
     w.sim.run_until(TimeNs{3000});  // ser-ends 1.2/2.4 us passed, 3.6 us pending
-    if (pin_mid_run) {
-      w.link->pin_legacy();
-      EXPECT_EQ(w.link->pipe_depth(), 2u);
+    if (mark_mid_run) {
+      w.link->mark_flapped();
+      EXPECT_EQ(w.link->pipe_depth(), 4u);
     }
     w.link->set_down(true);
     w.sim.run();

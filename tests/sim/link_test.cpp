@@ -48,22 +48,23 @@ TEST(Link, DeliversAfterSerializationPlusPropagation) {
 TEST(Link, BackToBackPacketsSerializeSequentially) {
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 1'000'000, -1, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 1'000'000, -1, 0.95});
   link.enqueue(make_data(1500));
   link.enqueue(make_data(1500));
   link.enqueue(make_data(1500));
   sim.run();
   ASSERT_EQ(sink.arrivals.size(), 3u);
-  EXPECT_EQ(sink.arrivals[0].first.ns(), 1200);
-  EXPECT_EQ(sink.arrivals[1].first.ns(), 2400);
-  EXPECT_EQ(sink.arrivals[2].first.ns(), 3600);
+  // 1.2 us apart on the wire, each 1 us of propagation later.
+  EXPECT_EQ(sink.arrivals[0].first.ns(), 2200);
+  EXPECT_EQ(sink.arrivals[1].first.ns(), 3400);
+  EXPECT_EQ(sink.arrivals[2].first.ns(), 4600);
 }
 
 TEST(Link, TailDropsWhenQueueFull) {
   Simulator sim;
   SinkNode sink(sim);
   // Queue limit fits exactly two MTUs beyond the in-service packet.
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 3000, -1, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 3000, -1, 0.95});
   for (int i = 0; i < 5; ++i) link.enqueue(make_data(1500));
   sim.run();
   // First starts transmitting immediately (leaves queue), two fit, two drop.
@@ -74,7 +75,7 @@ TEST(Link, TailDropsWhenQueueFull) {
 TEST(Link, EcnMarksAboveThreshold) {
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 1'000'000, 2000, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 1'000'000, 2000, 0.95});
   for (int i = 0; i < 4; ++i) link.enqueue(make_data(1500));
   sim.run();
   ASSERT_EQ(sink.arrivals.size(), 4u);
@@ -89,7 +90,7 @@ TEST(Link, EcnMarksAboveThreshold) {
 TEST(Link, PullSourceDrainedWhenIdle) {
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 1'000'000, -1, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 1'000'000, -1, 0.95});
   int remaining = 3;
   link.set_source([&]() -> PacketPtr {
     if (remaining == 0) return nullptr;
@@ -105,7 +106,7 @@ TEST(Link, PullSourceDrainedWhenIdle) {
 TEST(Link, PushQueueHasPriorityOverPullSource) {
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 1'000'000, -1, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 1'000'000, -1, 0.95});
   bool pulled = false;
   link.set_source([&]() -> PacketPtr {
     if (pulled) return nullptr;
@@ -124,7 +125,7 @@ TEST(Link, PushQueueHasPriorityOverPullSource) {
 TEST(Link, TxRateEstimateTracksLoad) {
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 10'000'000, -1, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 10'000'000, -1, 0.95});
   // Saturate for 100 us: 10 Gbps = 125000 bytes per 100 us.
   for (int i = 0; i < 80; ++i) link.enqueue(make_data(1500));
   sim.run_until(96_us);
@@ -134,7 +135,7 @@ TEST(Link, TxRateEstimateTracksLoad) {
 TEST(Link, TxRateZeroWhenIdle) {
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 10'000'000, -1, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 10'000'000, -1, 0.95});
   EXPECT_DOUBLE_EQ(link.tx_rate().bits_per_sec(), 0.0);
 }
 
@@ -157,15 +158,14 @@ TEST(Link, FailureDropsEverything) {
 }
 
 TEST(Link, ReentrantEnqueueFromPullSourceIsNotLost) {
-  // Regression: start_next() used to claim the serializer only *after* the
-  // pull source returned.  A source callback that re-entered enqueue() (the
+  // Regression: the link used to claim the serializer only *after* the pull
+  // source returned.  A source callback that re-entered enqueue() (the
   // transport's probe cadence fires while the NIC pulls the next data packet)
-  // saw busy_ == false, ran a nested start_next() that put the control packet
-  // in flight, and then the outer start_next() overwrote in_flight_ with the
-  // pulled data packet — silently destroying the control packet.
+  // saw an idle wire, put the control packet on it, and then the pulled data
+  // packet overwrote it — silently destroying the control packet.
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 1'000'000, -1, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 1'000'000, -1, 0.95});
   int pulls = 0;
   link.set_source([&]() -> PacketPtr {
     if (pulls >= 2) return nullptr;
@@ -191,13 +191,14 @@ TEST(Link, ReentrantEnqueueFromPullSourceIsNotLost) {
 }
 
 TEST(Link, RapidFlapDoesNotWedgeSerializer) {
-  // Regression: set_down(true) used to leave busy_ set while dropping the
-  // in-flight packet, so kick() after an immediate re-enable was a no-op
-  // until the stale serializer event fired — a wedge window as long as the
-  // aborted packet's remaining serialization time.
+  // Regression: set_down(true) used to leave the serializer claimed while
+  // dropping the in-flight packet, so kick() after an immediate re-enable
+  // was a no-op until the stale serializer event fired — a wedge window as
+  // long as the aborted packet's remaining serialization time.
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 1'000'000, -1, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 1'000'000, -1, 0.95});
+  link.mark_flapped();  // a real serializer-end event, as the fault plane arms
   link.enqueue(make_data(1500));  // serializes during [0, 1200) ns
   sim.run_until(TimeNs{600});
   link.set_down(true);   // aborts mid-serialization
@@ -206,8 +207,8 @@ TEST(Link, RapidFlapDoesNotWedgeSerializer) {
   sim.run();
   ASSERT_EQ(sink.arrivals.size(), 1u);
   // The new packet starts serializing at 600 ns, not at the aborted
-  // packet's old completion time (1200 ns): 600 + 800 = 1400 ns.
-  EXPECT_EQ(sink.arrivals[0].first, TimeNs{1400});
+  // packet's old completion time (1200 ns): 600 + 800 + 1000 = 2400 ns.
+  EXPECT_EQ(sink.arrivals[0].first, TimeNs{2400});
   EXPECT_EQ(link.drops(), 1);
 }
 
@@ -216,7 +217,8 @@ TEST(Link, StaleSerializerEventIsNeutralizedAcrossFlaps) {
   // packet that started after re-enable.
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 1'000'000, -1, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 1'000'000, -1, 0.95});
+  link.mark_flapped();  // a real serializer-end event, as the fault plane arms
   link.enqueue(make_data(1500));
   sim.run_until(TimeNs{100});
   link.set_down(true);
@@ -225,7 +227,7 @@ TEST(Link, StaleSerializerEventIsNeutralizedAcrossFlaps) {
   // The stale event fires at 1200; it must not deliver or free the wire.
   sim.run();
   ASSERT_EQ(sink.arrivals.size(), 1u);
-  EXPECT_EQ(sink.arrivals[0].first, TimeNs{1300});
+  EXPECT_EQ(sink.arrivals[0].first, TimeNs{2300});
   EXPECT_EQ(link.tx_bytes_cum(), 1500);
   // Redundant set_down calls are idempotent (no double drop counting).
   link.set_down(false);
@@ -235,7 +237,7 @@ TEST(Link, StaleSerializerEventIsNeutralizedAcrossFlaps) {
 TEST(Link, FaultFilterDropsOnTheWire) {
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 1'000'000, -1, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 1'000'000, -1, 0.95});
   int seen = 0;
   link.set_fault_filter([&seen](const Packet&) { return ++seen % 2 == 0; });
   for (int i = 0; i < 4; ++i) link.enqueue(make_data(1000));
@@ -248,10 +250,19 @@ TEST(Link, FaultFilterDropsOnTheWire) {
   EXPECT_EQ(link.tx_bytes_cum(), 4000);
 }
 
+TEST(LinkDeathTest, ZeroPropagationDelayAborts) {
+  // A delivery must fire strictly after its serializer end (and a cut link's
+  // crossing must clear the lookahead), so a zero delay is a config error.
+  Simulator sim;
+  SinkNode sink(sim);
+  EXPECT_DEATH(Link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 1'000'000, -1, 0.95}),
+               "propagation delay must be positive");
+}
+
 TEST(Link, MaxQueueTracksHighWaterMark) {
   Simulator sim;
   SinkNode sink(sim);
-  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 0_us, 1'000'000, -1, 0.95});
+  Link link(sim, LinkId{0}, "l", &sink, {10_Gbps, 1_us, 1'000'000, -1, 0.95});
   for (int i = 0; i < 4; ++i) link.enqueue(make_data(1500));
   // First packet starts service immediately; three remain queued.
   EXPECT_EQ(link.max_queue_bytes(), 4500);

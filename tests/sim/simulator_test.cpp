@@ -74,5 +74,13 @@ TEST(SimulatorDeathTest, SchedulingIntoThePastAborts) {
   EXPECT_DEATH(sim.at(5_us, [] {}), "scheduling into the past");
 }
 
+TEST(SimulatorDeathTest, SingleWindowCadenceFlagAborts) {
+  // Epochs are always adaptive; one barrier per window is windows = 1.
+  Simulator sim;
+  sim.set_adaptive_epochs(true, 1);
+  EXPECT_EQ(sim.epoch_windows(), 1);
+  EXPECT_DEATH(sim.set_adaptive_epochs(false, 1), "single-window epoch cadence is gone");
+}
+
 }  // namespace
 }  // namespace ufab::sim
